@@ -18,7 +18,7 @@ from .gating import GateConfig, GateParams, route
 from .lwa import EmaRegistry, LwaConfig, approximate, approximation_error, select_top_k
 from .numcore import AdamState, DiffRecord, Tensor, adam_step, backward, grad_check, pinv
 from .objectives import LossConfig, mse_loss, similarity_constraint, total_loss
-from .pipeline import (DisenTSModel, FitResult, Metrics, ModelConfig, TrainConfig, UnifiedBaseline,
-                       evaluate, fit, forward, mean_routing, train_step, unified_baseline)
+from .pipeline import (DisenTSModel, FitResult, Metrics, ModelConfig, TrainConfig, evaluate, fit,
+                       forward, mean_routing, train_step, unified_baseline)
 
 __version__ = "0.1.0"

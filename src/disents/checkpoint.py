@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbones import BackboneConfig
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .gating import GateConfig
 from .lwa import LwaConfig
 from .objectives import LossConfig
@@ -72,42 +72,49 @@ def _config_from_dict(raw: dict) -> ModelConfig:
 
 
 def load_model(directory: str | Path) -> DisenTSModel:
+    """Rebuild a saved model. Every array the model holds must be in the
+    manifest exactly once, with its saved shape; anything else is rejected."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST
     if not manifest_path.is_file():
         raise ConfigError(f"no checkpoint manifest at {manifest_path}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"checkpoint manifest {manifest_path} is not valid JSON: {exc}") from exc
     if manifest.get("format") != FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint format {manifest.get('format')!r}")
     meta = manifest["meta"]
     model = DisenTSModel(_config_from_dict(meta["config"]), seed=meta.get("seed", 0))
     model.step_count = int(meta["step_count"])
     model.registry.initialized = [bool(v) for v in meta["registry_initialized"]]
+    expected = dict(_model_arrays(model))
+    names = [entry["name"] for entry in manifest["arrays"]]
+    for name in names:
+        if name not in expected:
+            raise ConfigError(f"checkpoint array {name!r} does not exist in the model")
+    missing = [name for name in expected if name not in names]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if missing or repeated:
+        raise ConfigError(f"checkpoint arrays missing: {', '.join(missing) or 'none'}; "
+                          f"listed more than once: {', '.join(repeated) or 'none'}")
     slots = dict(model.named_parameters())
     for entry in manifest["arrays"]:
-        shape = tuple(entry["shape"])
+        name, shape = entry["name"], tuple(entry["shape"])
         if entry["dtype"] != "float64":
-            raise ConfigError(f"array {entry['name']!r} has unsupported dtype {entry['dtype']!r}")
-        raw = np.fromfile(directory / entry["file"], dtype="<f8")
+            raise ConfigError(f"array {name!r} has unsupported dtype {entry['dtype']!r}")
+        try:
+            raw = np.fromfile(directory / entry["file"], dtype="<f8")
+        except OSError as exc:
+            raise ConfigError(f"array {name!r} cannot be read from {entry['file']!r}: {exc}") from exc
         if raw.size != int(np.prod(shape)):
-            raise ConfigError(
-                f"array {entry['name']!r} holds {raw.size} values, expected shape {shape}"
-            )
+            raise ConfigError(f"array {name!r} holds {raw.size} values, expected shape {shape}")
+        if expected[name].shape != shape:
+            raise ConfigError(f"shape mismatch for {name!r}: checkpoint {shape}, "
+                              f"model {expected[name].shape}")
         data = raw.reshape(shape)
-        name = entry["name"]
-        if name.startswith("registry.gamma"):
-            idx = int(name[len("registry.gamma"):])
-            if model.registry.gamma[idx].shape != shape:
-                raise ConfigError(f"registry shape mismatch for {name!r}: {shape}")
-            model.registry.gamma[idx] = data
-        elif name in slots:
-            if slots[name].data.shape != shape:
-                raise ConfigError(
-                    f"parameter shape mismatch for {name!r}: checkpoint {shape}, "
-                    f"model {slots[name].data.shape}"
-                )
+        if name in slots:
             slots[name].data = data
         else:
-            raise ConfigError(f"checkpoint array {name!r} does not exist in the model")
+            model.registry.gamma[int(name[len("registry.gamma"):])] = data
     return model

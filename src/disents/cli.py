@@ -23,15 +23,16 @@ import numpy as np
 
 from .backbones import BackboneConfig
 from .checkpoint import load_model, save_model
-from .datakit import (GroupSpec, SeriesDataset, WindowSpec, labels_sidecar_path, load_csv,
-                      load_labels, make_windows, routing_purity, save_csv, split_standardize,
-                      synth_generate)
+from .datakit import (GroupSpec, SeriesDataset, WindowedData, WindowSpec, labels_sidecar_path,
+                      load_csv, load_labels, make_windows, routing_purity, save_csv,
+                      split_standardize, synth_generate)
 from .errors import ConfigError, NumericError, ParseError
 from .gating import GateConfig
-from .lwa import LwaConfig, approximate, effective_top_k, select_top_k, signature_error
+from .lwa import LwaConfig
 from .objectives import LossConfig
-from .pipeline import (DisenTSModel, ModelConfig, TrainConfig, evaluate, fit, forward,
-                       mean_routing, unified_baseline)
+from .pipeline import (DisenTSModel, ModelConfig, TrainConfig, eval_threads, evaluate,
+                       expert_signatures, fit, forward, mean_routing, signature_errors,
+                       unified_baseline)
 
 
 @dataclass
@@ -137,17 +138,28 @@ def _validate(config: RunConfig) -> None:
     if len(set(sizes.values())) != 1:
         raise ConfigError(f"synthetic group lists disagree in length: {sizes}")
     # Constructing the component configs validates their own ranges early.
-    _window_spec(config)
+    _window_spec(config, config.lookback, config.horizon)
     _model_config(config)
+    eval_threads()  # DISENTS_THREADS, read now so a bad value fails before any data
 
 
-def _window_spec(config: RunConfig) -> WindowSpec:
+def _window_spec(config: RunConfig, lookback: int, horizon: int) -> WindowSpec:
     return WindowSpec(
-        lookback=config.lookback,
-        horizon=config.horizon,
+        lookback=lookback,
+        horizon=horizon,
         stride=config.stride,
         fractions=(config.train_frac, config.val_frac, config.test_frac),
     )
+
+
+def _windows(config: RunConfig, lookback: int, horizon: int) -> tuple[SeriesDataset, WindowedData]:
+    """The dataset and its standardized splits, cut into windows of the given size.
+
+    Training takes the size from the config; a checkpoint's commands take it
+    from the checkpoint."""
+    spec = _window_spec(config, lookback, horizon)
+    dataset = _load_dataset(config)
+    return dataset, make_windows(split_standardize(dataset, spec), spec)
 
 
 def _backbone_config(config: RunConfig) -> BackboneConfig:
@@ -217,8 +229,7 @@ def cmd_synth(config: RunConfig) -> int:
 
 
 def cmd_train(config: RunConfig) -> int:
-    dataset = _load_dataset(config)
-    windows = make_windows(split_standardize(dataset, _window_spec(config)), _window_spec(config))
+    _, windows = _windows(config, config.lookback, config.horizon)
     model = DisenTSModel(_model_config(config), seed=config.seed)
     out_dir = Path(config.out_dir)
     t0 = time.perf_counter()
@@ -235,11 +246,8 @@ def cmd_eval(config: RunConfig) -> int:
     if config.checkpoint is None:
         raise ConfigError("eval needs --checkpoint")
     model = load_model(config.checkpoint)
-    dataset = _load_dataset(config)
     bb = model.config.backbone
-    spec = WindowSpec(lookback=bb.lookback, horizon=bb.horizon, stride=config.stride,
-                      fractions=(config.train_frac, config.val_frac, config.test_frac))
-    windows = make_windows(split_standardize(dataset, spec), spec)
+    _, windows = _windows(config, bb.lookback, bb.horizon)
     t0 = time.perf_counter()
     metrics = evaluate(model, windows.test_x, windows.test_y, config.eval_batch_size)
     metrics_path = _write_metrics(Path(config.out_dir), metrics, time.perf_counter() - t0)
@@ -248,8 +256,7 @@ def cmd_eval(config: RunConfig) -> int:
 
 
 def cmd_baseline(config: RunConfig) -> int:
-    dataset = _load_dataset(config)
-    windows = make_windows(split_standardize(dataset, _window_spec(config)), _window_spec(config))
+    _, windows = _windows(config, config.lookback, config.horizon)
     t0 = time.perf_counter()
     metrics, _ = unified_baseline(windows, _backbone_config(config), _train_config(config),
                                   eps_norm=config.eps_norm)
@@ -258,33 +265,20 @@ def cmd_baseline(config: RunConfig) -> int:
     return 0
 
 
-def _first_test_batch(config: RunConfig, model: DisenTSModel):
-    dataset = _load_dataset(config)
-    bb = model.config.backbone
-    spec = WindowSpec(lookback=bb.lookback, horizon=bb.horizon, stride=config.stride,
-                      fractions=(config.train_frac, config.val_frac, config.test_frac))
-    windows = make_windows(split_standardize(dataset, spec), spec)
-    return dataset, windows
-
-
 def cmd_inspect(config: RunConfig, target: str) -> int:
     if config.checkpoint is None:
         raise ConfigError("inspect needs --checkpoint")
     model = load_model(config.checkpoint)
-    dataset, windows = _first_test_batch(config, model)
+    bb = model.config.backbone
+    dataset, windows = _windows(config, bb.lookback, bb.horizon)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if target == "lwa":
         batch = windows.test_x[:config.batch_size]
         fwd = forward(model, batch, training=False)
-        pool = batch.shape[0] * batch.shape[1]
-        k = effective_top_k(model.config.lwa, pool, model.config.backbone.lookback)
-        rows = fwd.x_norm.data.reshape(pool, -1)
+        epsilons = signature_errors(fwd, expert_signatures(model, fwd))
         entries = []
-        for m in range(model.n_experts):
-            x_hat, f_hat = select_top_k(fwd.beta, fwd.x_norm, fwd.expert_outputs[m], m, k)
-            fresh = approximate(x_hat, f_hat, model.config.lwa.rcond)
-            eps = signature_error(rows, fwd.expert_outputs[m].data.reshape(pool, -1), fresh.data)
+        for m, eps in enumerate(epsilons):
             matrix_path = out_dir / f"lwa_expert{m}.csv"
             np.savetxt(matrix_path, model.registry.gamma[m], delimiter=",")
             entries.append({"expert": m, "epsilon": eps, "iterations": model.step_count,

@@ -18,7 +18,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +96,12 @@ class TrainConfig:
 
 
 class DisenTSModel:
-    """Expert backbones, a routing gate, and the signature registry."""
+    """Expert backbones, a routing gate, and the signature registry.
+
+    With one expert there is nothing to route or tell apart: the model builds
+    no gate, and training skips the signatures, the contrast term and the
+    registry. That single stationarization-wrapped backbone shared by all
+    channels is the unified baseline disentangled routing has to beat."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         rng = init_rng(seed)
@@ -104,7 +109,8 @@ class DisenTSModel:
         self.seed = seed
         bb = config.backbone
         self.backbones = [Backbone(bb, rng) for _ in range(config.n_experts)]
-        self.gate = GateParams(bb.lookback, bb.horizon, config.n_experts, config.gate, rng)
+        self.gate = (GateParams(bb.lookback, bb.horizon, config.n_experts, config.gate, rng)
+                     if config.n_experts > 1 else None)
         self.registry = EmaRegistry(config.n_experts, bb.lookback, bb.horizon,
                                     config.lwa.alpha, rng)
         self.stationarizer = Stationarizer(config.eps_norm)
@@ -118,13 +124,14 @@ class DisenTSModel:
         out = []
         for m, backbone in enumerate(self.backbones):
             out.extend((f"expert{m}.{name}", t) for name, t in backbone.parameters())
-        out.extend((f"gate.{name}", t) for name, t in self.gate.parameters())
+        if self.gate is not None:
+            out.extend((f"gate.{name}", t) for name, t in self.gate.parameters())
         return out
 
     def set_parameter(self, name: str, tensor: Tensor) -> None:
         scope, _, key = name.partition(".")
         if scope == "gate":
-            if key not in self.gate.params:
+            if self.gate is None or key not in self.gate.params:
                 raise ContractError(f"unknown gate parameter {key!r}")
             self.gate.params[key] = tensor
         elif scope.startswith("expert"):
@@ -156,7 +163,10 @@ def forward(model: DisenTSModel, x: np.ndarray, training: bool = False,
     """One full forecast pass; expert outputs stay on the stationarized scale."""
     xn, mu, sigma = model.stationarizer.normalize(x)
     x_norm = nc.constant(xn)
-    beta = route(x_norm, model.registry.gamma, model.gate, training, rng)
+    if model.gate is None:
+        beta = nc.constant(np.ones(xn.shape[:2] + (1,)))
+    else:
+        beta = route(x_norm, model.registry.gamma, model.gate, training, rng)
     outputs = [forecast_batch(bb, x_norm, training) for bb in model.backbones]
     mixed: Tensor | None = None
     for m, out in enumerate(outputs):
@@ -181,6 +191,25 @@ def _require_finite(**quantities: float) -> None:
             raise NumericError(f"{name} is non-finite; aborting the run")
 
 
+def expert_signatures(model: DisenTSModel, fwd: ForwardResult) -> list[Tensor]:
+    """Each expert's least-squares signature over its top-k routed rows of the batch."""
+    batch, channels, _ = fwd.beta.shape
+    lwa = model.config.lwa
+    k = effective_top_k(lwa, batch * channels, model.config.backbone.lookback)
+    signatures = []
+    for m, out in enumerate(fwd.expert_outputs):
+        x_hat, f_hat = select_top_k(fwd.beta, fwd.x_norm, out, m, k)
+        signatures.append(approximate(x_hat, f_hat, lwa.rcond))
+    return signatures
+
+
+def signature_errors(fwd: ForwardResult, signatures: list[Tensor]) -> list[float]:
+    """How well each signature mirrors its expert on every row of the batch."""
+    rows = fwd.x_norm.data.reshape(-1, fwd.x_norm.shape[2])
+    return [signature_error(rows, out.data.reshape(rows.shape[0], -1), w.data)
+            for out, w in zip(fwd.expert_outputs, signatures)]
+
+
 def train_step(model: DisenTSModel, x: np.ndarray, y: np.ndarray,
                opt: AdamState, rng: np.random.Generator) -> StepReport:
     """Forward, losses, backward, Adam, then the registry EMA update."""
@@ -190,26 +219,19 @@ def train_step(model: DisenTSModel, x: np.ndarray, y: np.ndarray,
         if fwd.y_hat.shape != y.shape:
             raise ShapeError(f"forecast shape {fwd.y_hat.shape} does not match targets {y.shape}")
         l_fc = mse_loss(fwd.y_hat, nc.constant(y))
-        batch, channels, _ = fwd.beta.shape
-        k = effective_top_k(model.config.lwa, batch * channels, model.config.backbone.lookback)
-        signatures = []
-        for m in range(model.n_experts):
-            x_hat, f_hat = select_top_k(fwd.beta, fwd.x_norm, fwd.expert_outputs[m], m, k)
-            signatures.append(approximate(x_hat, f_hat, model.config.lwa.rcond))
-        l_sc = similarity_constraint(signatures, model.registry.gamma, model.config.loss)
-        total = total_loss(l_fc, l_sc, model.config.loss.sc_weight)
+        if model.n_experts > 1:
+            signatures = expert_signatures(model, fwd)
+            l_sc = similarity_constraint(signatures, model.registry.gamma, model.config.loss)
+            total = total_loss(l_fc, l_sc, model.config.loss.sc_weight)
+        else:
+            signatures, l_sc, total = [], nc.constant(0.0), l_fc
         _require_finite(l_fc=l_fc.item(), l_sc=l_sc.item(), total=total.item())
         backward(total)
     params = [t for _, t in model.named_parameters()]
     adam_step(params, [p.grad for p in params], opt)
-    rows = fwd.x_norm.data.reshape(batch * channels, -1)
-    epsilons = [
-        signature_error(rows, fwd.expert_outputs[m].data.reshape(rows.shape[0], -1),
-                        signatures[m].data)
-        for m in range(model.n_experts)
-    ]
-    for m in range(model.n_experts):
-        model.registry.update(m, signatures[m].data)  # EMA last, after the optimizer step
+    epsilons = signature_errors(fwd, signatures)
+    for m, w in enumerate(signatures):
+        model.registry.update(m, w.data)  # EMA last, after the optimizer step
     model.step_count += 1
     return StepReport(l_fc=l_fc.item(), l_sc=l_sc.item(), total=total.item(), epsilons=epsilons)
 
@@ -224,11 +246,17 @@ class Metrics:
         return {"mse": self.mse, "mae": self.mae, "per_channel_mse": self.per_channel_mse}
 
 
-def _eval_threads(threads: int | None) -> int:
+def eval_threads(threads: int | None = None) -> int:
+    """The evaluation thread count: `threads` if given, else DISENTS_THREADS, else 1."""
     if threads is not None:
         return max(1, threads)
     raw = os.environ.get("DISENTS_THREADS", "").strip()
-    return max(1, int(raw)) if raw else 1
+    if not raw:
+        return 1
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ConfigError(f"DISENTS_THREADS must be an integer, got {raw!r}") from None
 
 
 def evaluate(model, x: np.ndarray, y: np.ndarray, batch_size: int = 256,
@@ -250,7 +278,7 @@ def evaluate(model, x: np.ndarray, y: np.ndarray, batch_size: int = 256,
         diff = model.predict(x[start:start + batch_size]) - y[start:start + batch_size]
         return (diff * diff).sum(axis=(0, 2)), np.abs(diff).sum()
 
-    n_threads = _eval_threads(threads)
+    n_threads = eval_threads(threads)
     if n_threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             partials = list(pool.map(shard, starts))
@@ -290,61 +318,6 @@ class FitResult:
     best_val_mse: float = float("inf")
 
 
-class _EpochLoop:
-    """Shared epoch driver: shuffling, early stopping, best-state restore."""
-
-    def __init__(self, n_windows: int, config: TrainConfig, rng: np.random.Generator,
-                 log_path: str | Path | None = None):
-        if n_windows < 1:
-            raise ConfigError("training needs at least one window")
-        self.n = n_windows
-        self.config = config
-        self.rng = rng
-        self.log_path = Path(log_path) if log_path is not None else None
-        if self.log_path is not None:
-            self.log_path.parent.mkdir(parents=True, exist_ok=True)
-            self.log_path.write_text("")
-
-    def run(self, step_fn, val_fn, snapshot_fn, restore_fn) -> FitResult:
-        result = FitResult()
-        best_state = None
-        bad_epochs = 0
-        for epoch in range(self.config.epochs):
-            t0 = time.perf_counter()
-            order = self.rng.permutation(self.n)
-            sums = None
-            seen = 0
-            for start in range(0, self.n, self.config.batch_size):
-                idx = order[start:start + self.config.batch_size]
-                report = step_fn(idx)
-                weight = len(idx)
-                vals = np.array([report.l_fc, report.l_sc, *report.epsilons])
-                sums = vals * weight if sums is None else sums + vals * weight
-                seen += weight
-            avg = sums / seen
-            val_mse = val_fn()
-            record = EpochRecord(
-                epoch=epoch, train_lfc=float(avg[0]), train_lsc=float(avg[1]),
-                val_mse=val_mse, epsilons=[float(v) for v in avg[2:]],
-                elapsed_s=time.perf_counter() - t0,
-            )
-            result.history.append(record)
-            if self.log_path is not None:
-                with open(self.log_path, "a") as fh:
-                    fh.write(json.dumps(record.to_dict()) + "\n")
-            if val_mse < result.best_val_mse:
-                result.best_val_mse = val_mse
-                best_state = snapshot_fn()
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-            if bad_epochs >= self.config.patience:
-                break
-        if best_state is not None:
-            restore_fn(best_state)
-        return result
-
-
 def _snapshot_model(model: DisenTSModel) -> dict:
     return {
         "params": {name: t.data.copy() for name, t in model.named_parameters()},
@@ -366,20 +339,52 @@ def fit(model: DisenTSModel, data: WindowedData, config: TrainConfig,
 
     The best-validation state (parameters and signature registry) is
     restored before returning. StepReport epsilons are averaged per epoch."""
+    n = data.train_x.shape[0]
+    if n < 1:
+        raise ConfigError("training needs at least one window")
     rng = train_rng(config.seed)
     params = [t for _, t in model.named_parameters()]
     opt = AdamState.for_params(params, lr=config.lr)
-    loop = _EpochLoop(data.train_x.shape[0], config, rng, log_path)
-
-    def step_fn(idx):
-        return train_step(model, data.train_x[idx], data.train_y[idx], opt, rng)
-
-    def val_fn():
-        return evaluate(model, data.val_x, data.val_y).mse
-
-    return loop.run(step_fn, val_fn,
-                    lambda: _snapshot_model(model),
-                    lambda state: _restore_model(model, state))
+    if log_path is not None:
+        log_path = Path(log_path)
+        log_path.parent.mkdir(parents=True, exist_ok=True)
+        log_path.write_text("")
+    result = FitResult()
+    best_state = None
+    bad_epochs = 0
+    for epoch in range(config.epochs):
+        t0 = time.perf_counter()
+        order = rng.permutation(n)
+        sums = None
+        seen = 0
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            report = train_step(model, data.train_x[idx], data.train_y[idx], opt, rng)
+            vals = np.array([report.l_fc, report.l_sc, *report.epsilons]) * len(idx)
+            sums = vals if sums is None else sums + vals
+            seen += len(idx)
+        avg = sums / seen
+        val_mse = evaluate(model, data.val_x, data.val_y).mse
+        record = EpochRecord(
+            epoch=epoch, train_lfc=float(avg[0]), train_lsc=float(avg[1]),
+            val_mse=val_mse, epsilons=[float(v) for v in avg[2:]],
+            elapsed_s=time.perf_counter() - t0,
+        )
+        result.history.append(record)
+        if log_path is not None:
+            with open(log_path, "a") as fh:
+                fh.write(json.dumps(record.to_dict()) + "\n")
+        if val_mse < result.best_val_mse:
+            result.best_val_mse = val_mse
+            best_state = _snapshot_model(model)
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+        if bad_epochs >= config.patience:
+            break
+    if best_state is not None:
+        _restore_model(model, best_state)
+    return result
 
 
 def mean_routing(model: DisenTSModel, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
@@ -394,57 +399,13 @@ def mean_routing(model: DisenTSModel, x: np.ndarray, batch_size: int = 256) -> n
     return totals / x.shape[0]
 
 
-class UnifiedBaseline:
-    """One stationarization-wrapped backbone shared by all channels.
-
-    No gate, no weight approximation, no contrast term: the reference point
-    disentangled routing has to beat."""
-
-    def __init__(self, config: BackboneConfig, seed: int = 0, eps_norm: float = 1e-5):
-        self.config = config
-        self.seed = seed
-        self.backbone = Backbone(config, init_rng(seed))
-        self.stationarizer = Stationarizer(eps_norm)
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [(f"backbone.{name}", t) for name, t in self.backbone.parameters()]
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        xn, mu, sigma = self.stationarizer.normalize(x)
-        out = forecast_batch(self.backbone, nc.constant(xn), training=False)
-        return self.stationarizer.denormalize(out, mu, sigma).data
-
-
 def unified_baseline(data: WindowedData, backbone: BackboneConfig, config: TrainConfig,
-                     eps_norm: float = 1e-5) -> tuple[Metrics, UnifiedBaseline]:
-    """Train the single-backbone baseline and report its test metrics."""
-    model = UnifiedBaseline(backbone, config.seed, eps_norm)
-    rng = train_rng(config.seed)
-    params = [t for _, t in model.named_parameters()]
-    opt = AdamState.for_params(params, lr=config.lr)
-    loop = _EpochLoop(data.train_x.shape[0], config, rng)
+                     eps_norm: float = 1e-5) -> tuple[Metrics, DisenTSModel]:
+    """Train the single-backbone baseline and report its test metrics.
 
-    def step_fn(idx):
-        x, y = data.train_x[idx], data.train_y[idx]
-        with recording():
-            xn, mu, sigma = model.stationarizer.normalize(x)
-            out = forecast_batch(model.backbone, nc.constant(xn), training=True)
-            y_hat = model.stationarizer.denormalize(out, mu, sigma)
-            l_fc = mse_loss(y_hat, nc.constant(y))
-            _require_finite(l_fc=l_fc.item())
-            backward(l_fc)
-        adam_step(params, [p.grad for p in params], opt)
-        return StepReport(l_fc=l_fc.item(), l_sc=0.0, total=l_fc.item(), epsilons=[])
-
-    def val_fn():
-        return evaluate(model, data.val_x, data.val_y).mse
-
-    def snapshot():
-        return {name: t.data.copy() for name, t in model.named_parameters()}
-
-    def restore(state):
-        for name, t in model.named_parameters():
-            t.data = state[name].copy()
-
-    loop.run(step_fn, val_fn, snapshot, restore)
+    The baseline is the one-expert model: a `DisenTSModel` with no gate,
+    signatures or contrast term. Returns the test metrics and that model."""
+    model = DisenTSModel(ModelConfig(n_experts=1, backbone=backbone, eps_norm=eps_norm),
+                         seed=config.seed)
+    fit(model, data, config)
     return evaluate(model, data.test_x, data.test_y), model

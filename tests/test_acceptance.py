@@ -31,7 +31,7 @@ from disents.datakit import (
     synth_generate,
 )
 from disents.gating import GateConfig
-from disents.lwa import EmaRegistry, approximate, effective_top_k, select_top_k
+from disents.lwa import EmaRegistry, approximate, select_top_k
 from disents.objectives import LossConfig, mse_loss, similarity_constraint, total_loss
 from disents.pipeline import (
     DisenTSModel,
@@ -39,6 +39,7 @@ from disents.pipeline import (
     Stationarizer,
     TrainConfig,
     evaluate,
+    expert_signatures,
     fit,
     forward,
     init_rng,
@@ -155,17 +156,12 @@ def test_criterion_1_gradient_suite():
     rng = np.random.default_rng(7)
     x = rng.normal(0.0, 1.0, size=(2, 3, 8)) + rng.normal(size=(2, 3, 1))
     y = rng.normal(0.0, 1.0, size=(2, 3, 4))
-    k = effective_top_k(config.lwa, 2 * 3, 8)
     gamma = model.registry.gamma
 
     def toy_loss():
         res = forward(model, x, training=False)
         l_fc = mse_loss(res.y_hat, nc.constant(y))
-        signatures = []
-        for m in range(config.n_experts):
-            x_hat, f_hat = select_top_k(res.beta, res.x_norm, res.expert_outputs[m], m, k)
-            signatures.append(approximate(x_hat, f_hat))
-        l_sc = similarity_constraint(signatures, gamma, config.loss)
+        l_sc = similarity_constraint(expert_signatures(model, res), gamma, config.loss)
         return total_loss(l_fc, l_sc, config.loss.sc_weight)
 
     worst_e2e, worst_param, n_params = 0.0, "none", 0

@@ -7,6 +7,7 @@ import pytest
 
 from disents.backbones import BackboneConfig
 from disents.checkpoint import MANIFEST, load_model, save_model
+from disents.cli import main
 from disents.errors import ConfigError
 from disents.gating import GateConfig
 from disents.numcore import AdamState
@@ -14,9 +15,9 @@ from disents.objectives import LossConfig
 from disents.pipeline import DisenTSModel, ModelConfig, train_rng, train_step
 
 
-def trained_model(seed=0):
+def trained_model(seed=0, n_experts=2):
     config = ModelConfig(
-        n_experts=2,
+        n_experts=n_experts,
         backbone=BackboneConfig("decomp-linear", 12, 6, decomp_kernel=5),
         gate=GateConfig(embed_dim=8, heads=2),
         loss=LossConfig(sc_weight=0.1),
@@ -100,3 +101,65 @@ def test_malformed_config_is_rejected(tmp_path):
     (tmp_path / MANIFEST).write_text(json.dumps(manifest))
     with pytest.raises(ConfigError, match="malformed"):
         load_model(tmp_path)
+
+
+def test_single_expert_round_trip_has_no_gate(tmp_path):
+    model = trained_model(n_experts=1)
+    save_model(model, tmp_path)
+    names = [e["name"] for e in json.loads((tmp_path / MANIFEST).read_text())["arrays"]]
+    assert not any(n.startswith("gate.") for n in names)
+    assert names[-1] == "registry.gamma0"
+    x = np.random.default_rng(2).normal(size=(4, 3, 12))
+    assert np.array_equal(load_model(tmp_path).predict(x), model.predict(x))
+
+
+def _rewrite_arrays(directory, edit):
+    manifest = json.loads((directory / MANIFEST).read_text())
+    manifest["arrays"] = edit(manifest["arrays"])
+    (directory / MANIFEST).write_text(json.dumps(manifest))
+
+
+def test_incomplete_or_repeated_arrays_are_rejected(tmp_path):
+    save_model(trained_model(), tmp_path)
+    expert0 = [e["name"] for e in json.loads((tmp_path / MANIFEST).read_text())["arrays"]
+               if e["name"].startswith("expert0.")]
+    _rewrite_arrays(tmp_path, lambda arrays: [e for e in arrays
+                                              if not e["name"].startswith("expert0.")])
+    with pytest.raises(ConfigError, match="missing") as err:
+        load_model(tmp_path)
+    assert all(name in str(err.value) for name in expert0)
+
+    save_model(trained_model(), tmp_path)
+    _rewrite_arrays(tmp_path, lambda arrays: arrays + [arrays[-1]])
+    with pytest.raises(ConfigError, match="more than once.*registry.gamma1"):
+        load_model(tmp_path)
+
+
+def _truncate_manifest(directory):
+    text = (directory / MANIFEST).read_text()
+    (directory / MANIFEST).write_text(text[:len(text) // 2])
+
+
+def _rename_gamma(new_name):
+    def edit(directory):
+        _rewrite_arrays(directory, lambda arrays: [
+            dict(e, name=new_name) if e["name"] == "registry.gamma1" else e for e in arrays])
+    return edit
+
+
+@pytest.mark.parametrize("damage", [
+    _truncate_manifest,
+    lambda directory: (directory / "array0000.bin").unlink(),
+    _rename_gamma("registry.gamma7"),
+    _rename_gamma("registry.gammaX"),
+], ids=["truncated-manifest", "missing-array-file", "gamma-out-of-range", "gamma-not-numeric"])
+def test_malformed_checkpoint_exits_2(tmp_path, capsys, damage):
+    assert main(["synth", "--out", str(tmp_path / "data"), "--length", "200",
+                 "--channels-per-group", "1", "--seed", "0"]) == 0
+    save_model(trained_model(), tmp_path / "ckpt")
+    damage(tmp_path / "ckpt")
+    code = main(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--dataset",
+                 str(tmp_path / "data" / "synthetic.csv"), "--out", str(tmp_path / "eval"),
+                 "--split", "0.5,0.2,0.3"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")

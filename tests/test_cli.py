@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from disents import cli
 from disents.cli import load_run_config, main
 from disents.errors import ConfigError, ParseError
 
@@ -134,11 +135,18 @@ def test_inspect_routing_without_labels(workspace, tmp_path):
 
 def test_baseline_artifacts(workspace):
     out = workspace["root"] / "baseline"
-    assert main(["baseline", "--dataset", str(workspace["csv"]), "--out", str(out),
-                 "--lookback", "16", "--horizon", "8", "--epochs", "1",
-                 "--batch-size", "64", "--seed", "0"]) == 0
+    flags = ["--dataset", str(workspace["csv"]), "--lookback", "16", "--horizon", "8",
+             "--epochs", "2", "--batch-size", "64", "--seed", "0"]
+    assert main(["baseline", "--out", str(out), *flags]) == 0
     metrics = read_json(out / "metrics.json")
     assert set(metrics) == {"mse", "mae", "per_channel_mse", "runtime_s"}
+    assert sorted(p.name for p in out.iterdir()) == ["metrics.json"]
+    # the baseline is the one-expert model
+    single = workspace["root"] / "single"
+    assert main(["train", "--out", str(single), "--k-experts", "1", *flags]) == 0
+    trained = read_json(single / "metrics.json")
+    for key in ("mse", "mae", "per_channel_mse"):
+        assert trained[key] == metrics[key]
 
 
 def test_config_errors_exit_2(workspace, tmp_path, capsys):
@@ -151,6 +159,17 @@ def test_config_errors_exit_2(workspace, tmp_path, capsys):
     cfg.write_text(json.dumps({"mystery_knob": True}))
     assert main(["train", "--config", str(cfg), "--dataset", str(workspace["csv"])]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_thread_count_exits_2_before_reading_data(workspace, tmp_path, monkeypatch, capsys):
+    def unread(path):
+        raise AssertionError(f"read {path} despite a bad DISENTS_THREADS")
+
+    monkeypatch.setattr(cli, "load_csv", unread)
+    monkeypatch.setenv("DISENTS_THREADS", "abc")
+    assert main(["train", "--dataset", str(workspace["csv"]), "--out", str(tmp_path),
+                 *TRAIN_FLAGS]) == 2
+    assert "error: DISENTS_THREADS must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

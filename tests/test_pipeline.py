@@ -1,6 +1,6 @@
 """Model assembly and the training loop: stationarization round trips,
 mixture algebra, step ordering, determinism, early stopping, and the
-single-expert run pairing exactly with the plain baseline."""
+single-expert step pairing exactly with a plain single-backbone step."""
 
 import json
 
@@ -8,17 +8,15 @@ import numpy as np
 import pytest
 
 import disents.numcore as nc
-from disents.backbones import BackboneConfig, forecast_batch
-from disents.datakit import (GroupSpec, WindowSpec, WindowedData, make_windows,
-                             split_standardize, synth_generate)
+from disents.backbones import Backbone, BackboneConfig, forecast_batch
+from disents.datakit import WindowedData
 from disents.errors import ConfigError, NumericError, ShapeError
 from disents.gating import GateConfig
 from disents.lwa import approximate, effective_top_k, select_top_k
 from disents.numcore import AdamState, adam_step, backward, recording
 from disents.objectives import LossConfig, mse_loss
-from disents.pipeline import (DisenTSModel, ModelConfig, Stationarizer, TrainConfig,
-                              UnifiedBaseline, evaluate, fit, forward, init_rng,
-                              mean_routing, train_rng, train_step, unified_baseline)
+from disents.pipeline import (DisenTSModel, ModelConfig, Stationarizer, TrainConfig, evaluate,
+                              fit, forward, init_rng, mean_routing, train_rng, train_step)
 
 
 def small_config(k, lookback=12, horizon=6, dropout=0.0, sc_weight=0.1):
@@ -141,12 +139,14 @@ def test_predict_eval_mode_is_deterministic():
 
 
 def test_expert_zero_init_matches_baseline_backbone():
-    cfg = small_config(3)
-    model = DisenTSModel(cfg, seed=7)
-    baseline = UnifiedBaseline(cfg.backbone, seed=7)
-    for (_, ours), (_, theirs) in zip(model.backbones[0].parameters(),
-                                      baseline.backbone.parameters()):
-        assert np.array_equal(ours.data, theirs.data)
+    model = DisenTSModel(small_config(3), seed=7)
+    baseline = DisenTSModel(small_config(1), seed=7)
+    assert baseline.gate is None
+    assert not [name for name, _ in baseline.named_parameters() if name.startswith("gate.")]
+    ours, theirs = model.backbones[0].parameters(), baseline.backbones[0].parameters()
+    assert [name for name, _ in ours] == [name for name, _ in theirs]
+    for (name, a), (_, b) in zip(ours, theirs):
+        assert np.array_equal(a.data, b.data), name
 
 
 def test_train_step_updates_everything_in_order():
@@ -303,6 +303,9 @@ def test_evaluate_thread_count_independence(monkeypatch):
     monkeypatch.setenv("DISENTS_THREADS", "3")
     from_env = evaluate(model, x, y, batch_size=8)
     assert from_env.mse == serial.mse
+    monkeypatch.setenv("DISENTS_THREADS", "abc")
+    with pytest.raises(ConfigError, match="DISENTS_THREADS"):
+        evaluate(model, x, y, batch_size=8)
 
 
 def test_evaluate_input_validation():
@@ -323,21 +326,31 @@ def test_mean_routing_is_a_channel_simplex():
 
 
 def test_single_expert_run_pairs_with_unified_baseline():
-    """A one-expert model with zero contrast weight and a dropout-free gate
-    follows the exact same trajectory as the plain shared backbone."""
-    dataset = synth_generate([GroupSpec(period=24, phase_jitter=0.5)],
-                             length=400, channels_per_group=2, noise=0.1, seed=19)
-    spec = WindowSpec(lookback=16, horizon=8)
-    data = make_windows(split_standardize(dataset, spec), spec)
-    bb = BackboneConfig("linear", 16, 8)
-    train = TrainConfig(epochs=2, batch_size=32, patience=2, seed=19)
-
-    base_metrics, _ = unified_baseline(data, bb, train)
-    model = DisenTSModel(ModelConfig(
-        n_experts=1, backbone=bb, gate=GateConfig(embed_dim=8, heads=2, dropout=0.0),
-        loss=LossConfig(sc_weight=0.0)), seed=19)
-    fit(model, data, train)
-    ours = evaluate(model, data.test_x, data.test_y)
-    assert ours.mse == base_metrics.mse
-    assert ours.mae == base_metrics.mae
-    assert ours.per_channel_mse == base_metrics.per_channel_mse
+    """One-expert train steps at the default gate dropout are, bit for bit,
+    a plain stationarized single-backbone step, and draw nothing from the
+    training stream."""
+    cfg = ModelConfig(n_experts=1, backbone=BackboneConfig("linear", 12, 6))
+    assert cfg.gate.dropout == 0.1
+    model = DisenTSModel(cfg, seed=19)
+    backbone = Backbone(cfg.backbone, init_rng(19))
+    params = [t for _, t in model.named_parameters()]
+    plain = [t for _, t in backbone.parameters()]
+    assert len(params) == len(plain)
+    opt, plain_opt = AdamState.for_params(params, lr=1e-3), AdamState.for_params(plain, lr=1e-3)
+    rng, plain_rng = train_rng(19), train_rng(19)
+    st = Stationarizer()
+    data = toy_windows(19)
+    for start in (0, 8, 16):
+        x, y = data.train_x[start:start + 8], data.train_y[start:start + 8]
+        report = train_step(model, x, y, opt, rng)
+        with recording():
+            xn, mu, sigma = st.normalize(x)
+            out = forecast_batch(backbone, nc.constant(xn), training=True)
+            l_fc = mse_loss(st.denormalize(out, mu, sigma), nc.constant(y))
+            backward(l_fc)
+        adam_step(plain, [p.grad for p in plain], plain_opt)
+        assert report.l_fc == report.total == l_fc.item()
+        assert report.l_sc == 0.0 and report.epsilons == []
+    for ours, theirs in zip(params, plain):
+        assert np.array_equal(ours.data, theirs.data)
+    assert rng.random() == plain_rng.random()
