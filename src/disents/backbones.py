@@ -90,9 +90,6 @@ class Backbone:
             else None
         )
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self.params.items())
-
     @property
     def param_count(self) -> int:
         return int(np.sum([t.size for t in self.params.values()]))

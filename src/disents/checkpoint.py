@@ -9,6 +9,7 @@ needed to rebuild the model.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -25,19 +26,12 @@ MANIFEST = "manifest.json"
 FORMAT_VERSION = 1
 
 
-def _model_arrays(model: DisenTSModel) -> list[tuple[str, np.ndarray]]:
-    arrays = [(name, t.data) for name, t in model.named_parameters()]
-    arrays.extend(
-        (f"registry.gamma{m}", model.registry.gamma[m]) for m in range(model.n_experts)
-    )
-    return arrays
-
-
 def save_model(model: DisenTSModel, directory: str | Path) -> Path:
+    """Write `model.arrays()` and a manifest; delete array files it does not list."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, (name, data) in enumerate(_model_arrays(model)):
+    for i, (name, data) in enumerate(model.arrays().items()):
         filename = f"array{i:04d}.bin"
         np.ascontiguousarray(data, dtype="<f8").tofile(directory / filename)
         entries.append({"name": name, "shape": list(data.shape), "dtype": "float64",
@@ -54,6 +48,10 @@ def save_model(model: DisenTSModel, directory: str | Path) -> Path:
     }
     with open(directory / MANIFEST, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
+    listed = {entry["file"] for entry in entries}
+    for path in directory.glob("array[0-9]*.bin"):
+        if path.name not in listed:
+            path.unlink()
     return directory
 
 
@@ -71,6 +69,18 @@ def _config_from_dict(raw: dict) -> ModelConfig:
         raise ConfigError(f"checkpoint config is malformed: {exc}") from exc
 
 
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "a non-negative integer"}
+
+
+def _field(record, key: str, kind: type, where: str = ""):
+    """`record[key]` if it is of `kind` (an int must not be negative), else a
+    ConfigError naming the field."""
+    value = record.get(key) if isinstance(record, dict) else None
+    if type(value) is not kind or kind is int and value < 0:
+        raise ConfigError(f"checkpoint manifest field {where}{key} must be {_KINDS[kind]}")
+    return value
+
+
 def load_model(directory: str | Path) -> DisenTSModel:
     """Rebuild a saved model. Every array the model holds must be in the
     manifest exactly once, with its saved shape; anything else is rejected."""
@@ -82,39 +92,47 @@ def load_model(directory: str | Path) -> DisenTSModel:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"checkpoint manifest {manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"checkpoint manifest {manifest_path} must hold a JSON object")
     if manifest.get("format") != FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint format {manifest.get('format')!r}")
-    meta = manifest["meta"]
-    model = DisenTSModel(_config_from_dict(meta["config"]), seed=meta.get("seed", 0))
-    model.step_count = int(meta["step_count"])
-    model.registry.initialized = [bool(v) for v in meta["registry_initialized"]]
-    expected = dict(_model_arrays(model))
-    names = [entry["name"] for entry in manifest["arrays"]]
+    meta = _field(manifest, "meta", dict)
+    model = DisenTSModel(_config_from_dict(_field(meta, "config", dict, "meta.")),
+                         seed=_field(meta, "seed", int, "meta."))
+    model.step_count = _field(meta, "step_count", int, "meta.")
+    initialized = _field(meta, "registry_initialized", list, "meta.")
+    if len(initialized) != model.n_experts or not all(isinstance(v, bool) for v in initialized):
+        raise ConfigError(f"checkpoint manifest field meta.registry_initialized must hold "
+                          f"{model.n_experts} booleans")
+    model.registry.initialized = initialized
+    entries = _field(manifest, "arrays", list)
+    targets = model.arrays()
+    names = [_field(entry, "name", str, f"arrays[{i}].") for i, entry in enumerate(entries)]
     for name in names:
-        if name not in expected:
+        if name not in targets:
             raise ConfigError(f"checkpoint array {name!r} does not exist in the model")
-    missing = [name for name in expected if name not in names]
+    missing = [name for name in targets if name not in names]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if missing or repeated:
         raise ConfigError(f"checkpoint arrays missing: {', '.join(missing) or 'none'}; "
                           f"listed more than once: {', '.join(repeated) or 'none'}")
-    slots = dict(model.named_parameters())
-    for entry in manifest["arrays"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if entry["dtype"] != "float64":
-            raise ConfigError(f"array {name!r} has unsupported dtype {entry['dtype']!r}")
+    for i, (name, entry) in enumerate(zip(names, entries)):
+        where = f"arrays[{i}]."
+        shape = tuple(_field(entry, "shape", list, where))
+        if not all(type(d) is int and d >= 0 for d in shape):
+            raise ConfigError(f"checkpoint manifest field {where}shape must list "
+                              f"non-negative integers, got {list(shape)}")
+        dtype, filename = _field(entry, "dtype", str, where), _field(entry, "file", str, where)
+        if dtype != "float64":
+            raise ConfigError(f"array {name!r} has unsupported dtype {dtype!r}")
         try:
-            raw = np.fromfile(directory / entry["file"], dtype="<f8")
+            raw = np.fromfile(directory / filename, dtype="<f8")
         except OSError as exc:
-            raise ConfigError(f"array {name!r} cannot be read from {entry['file']!r}: {exc}") from exc
-        if raw.size != int(np.prod(shape)):
+            raise ConfigError(f"array {name!r} cannot be read from {filename!r}: {exc}") from exc
+        if raw.size != math.prod(shape):
             raise ConfigError(f"array {name!r} holds {raw.size} values, expected shape {shape}")
-        if expected[name].shape != shape:
+        if targets[name].shape != shape:
             raise ConfigError(f"shape mismatch for {name!r}: checkpoint {shape}, "
-                              f"model {expected[name].shape}")
-        data = raw.reshape(shape)
-        if name in slots:
-            slots[name].data = data
-        else:
-            model.registry.gamma[int(name[len("registry.gamma"):])] = data
+                              f"model {targets[name].shape}")
+        targets[name][...] = raw.reshape(shape)
     return model

@@ -269,6 +269,9 @@ def cmd_inspect(config: RunConfig, target: str) -> int:
     if config.checkpoint is None:
         raise ConfigError("inspect needs --checkpoint")
     model = load_model(config.checkpoint)
+    if target == "lwa" and model.n_experts == 1:
+        raise ConfigError("a one-expert model keeps no signatures; inspect lwa needs a "
+                          "checkpoint with k_experts >= 2")
     bb = model.config.backbone
     dataset, windows = _windows(config, bb.lookback, bb.horizon)
     out_dir = Path(config.out_dir)

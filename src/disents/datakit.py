@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, ParseError, ShapeError
 
@@ -191,14 +192,10 @@ def sliding_windows(split: np.ndarray, lookback: int, horizon: int,
     total = split.shape[0]
     if total < lookback + horizon:
         raise ConfigError(f"split of {total} rows cannot fit lookback+horizon={lookback + horizon}")
-    count = (total - lookback - horizon) // stride + 1
-    x = np.empty((count, split.shape[1], lookback))
-    y = np.empty((count, split.shape[1], horizon))
-    for i in range(count):
-        s = i * stride
-        x[i] = split[s:s + lookback].T
-        y[i] = split[s + lookback:s + lookback + horizon].T
-    return x, y
+    windows = sliding_window_view(split, lookback + horizon, axis=0)[::stride]  # [N, C, L + H]
+    # C-contiguous copies: the per-window mean and std of a strided view differ in the last bits
+    return (np.ascontiguousarray(windows[:, :, :lookback]),
+            np.ascontiguousarray(windows[:, :, lookback:]))
 
 
 @dataclass

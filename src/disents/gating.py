@@ -77,9 +77,6 @@ class GateParams:
             "w_out": weight((d, n_experts)),
         }
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self.params.items())
-
 
 def embed_channels(x: Tensor, gate: GateParams) -> Tensor:
     """Project per-channel lookback windows to queries, [B, C, L] -> [B, C, d]."""

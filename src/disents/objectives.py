@@ -55,11 +55,6 @@ def _unit_rows(rows: Tensor) -> Tensor:
     return rows / norms
 
 
-def _unit_rows_np(rows: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((rows * rows).sum(axis=1, keepdims=True) + NORM_FLOOR * NORM_FLOOR)
-    return rows / norms
-
-
 def similarity_constraint(signatures: Sequence[Tensor], gamma: np.ndarray,
                           config: LossConfig) -> Tensor:
     """Contrast fresh signatures against the registry.
@@ -88,7 +83,7 @@ def similarity_constraint(signatures: Sequence[Tensor], gamma: np.ndarray,
     g_flat = gamma.reshape(n, -1)
     if config.normalize_sims:
         w = _unit_rows(w)
-        g_flat = _unit_rows_np(g_flat)
+        g_flat = _unit_rows(nc.constant(g_flat)).data
         inv_tau = 1.0 / config.tau
     else:
         inv_tau = 1.0  # raw inner products are unscaled by definition

@@ -120,27 +120,30 @@ class DisenTSModel:
     def n_experts(self) -> int:
         return self.config.n_experts
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for m, backbone in enumerate(self.backbones):
-            out.extend((f"expert{m}.{name}", t) for name, t in backbone.parameters())
+    def _scopes(self) -> dict[str, dict[str, Tensor]]:
+        scopes = {f"expert{m}": backbone.params for m, backbone in enumerate(self.backbones)}
         if self.gate is not None:
-            out.extend((f"gate.{name}", t) for name, t in self.gate.parameters())
-        return out
+            scopes["gate"] = self.gate.params
+        return scopes
+
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        return [(f"{scope}.{key}", t) for scope, params in self._scopes().items()
+                for key, t in params.items()]
 
     def set_parameter(self, name: str, tensor: Tensor) -> None:
         scope, _, key = name.partition(".")
-        if scope == "gate":
-            if self.gate is None or key not in self.gate.params:
-                raise ContractError(f"unknown gate parameter {key!r}")
-            self.gate.params[key] = tensor
-        elif scope.startswith("expert"):
-            idx = int(scope[len("expert"):])
-            if key not in self.backbones[idx].params:
-                raise ContractError(f"unknown backbone parameter {key!r}")
-            self.backbones[idx].params[key] = tensor
-        else:
-            raise ContractError(f"unknown parameter scope in {name!r}")
+        params = self._scopes().get(scope, {})
+        if key not in params:
+            raise ContractError(f"unknown parameter {name!r}")
+        params[key] = tensor
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every array the model holds, by name: the parameters, then one
+        registry signature per expert. The values are the live arrays, so
+        writing into them changes the model."""
+        out = {name: t.data for name, t in self.named_parameters()}
+        out.update((f"registry.gamma{m}", g) for m, g in enumerate(self.registry.gamma))
+        return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Evaluation-mode forecasts, [B, C, L] -> [B, C, H]."""
@@ -318,27 +321,13 @@ class FitResult:
     best_val_mse: float = float("inf")
 
 
-def _snapshot_model(model: DisenTSModel) -> dict:
-    return {
-        "params": {name: t.data.copy() for name, t in model.named_parameters()},
-        "gamma": model.registry.gamma.copy(),
-        "initialized": list(model.registry.initialized),
-    }
-
-
-def _restore_model(model: DisenTSModel, state: dict) -> None:
-    for name, t in model.named_parameters():
-        t.data = state["params"][name].copy()
-    model.registry.gamma = state["gamma"].copy()
-    model.registry.initialized = list(state["initialized"])
-
-
 def fit(model: DisenTSModel, data: WindowedData, config: TrainConfig,
         log_path: str | Path | None = None) -> FitResult:
     """Train with per-epoch shuffling and early stopping on validation MSE.
 
-    The best-validation state (parameters and signature registry) is
-    restored before returning. StepReport epsilons are averaged per epoch."""
+    The best-validation state (every array, the registry flags and the step
+    count) is restored before returning. StepReport epsilons are averaged
+    per epoch."""
     n = data.train_x.shape[0]
     if n < 1:
         raise ConfigError("training needs at least one window")
@@ -376,14 +365,17 @@ def fit(model: DisenTSModel, data: WindowedData, config: TrainConfig,
                 fh.write(json.dumps(record.to_dict()) + "\n")
         if val_mse < result.best_val_mse:
             result.best_val_mse = val_mse
-            best_state = _snapshot_model(model)
+            best_state = ({name: a.copy() for name, a in model.arrays().items()},
+                          list(model.registry.initialized), model.step_count)
             bad_epochs = 0
         else:
             bad_epochs += 1
         if bad_epochs >= config.patience:
             break
     if best_state is not None:
-        _restore_model(model, best_state)
+        saved, model.registry.initialized, model.step_count = best_state
+        for name, target in model.arrays().items():
+            target[...] = saved[name]
     return result
 
 

@@ -148,7 +148,7 @@ def test_gradients_reach_all_params(kind):
     bb = build(kind, lookback=6, horizon=3, seed=11, decomp_kernel=3, hidden=8)
     x = np.random.default_rng(9).normal(size=(4, 6))
     weights = np.random.default_rng(10).normal(size=(4, 3))
-    for name, param in bb.parameters():
+    for name, param in bb.params.items():
         def f(t, _name=name):
             bb.params[_name] = t
             try:

@@ -147,13 +147,60 @@ def _rename_gamma(new_name):
     return edit
 
 
-@pytest.mark.parametrize("damage", [
-    _truncate_manifest,
-    lambda directory: (directory / "array0000.bin").unlink(),
-    _rename_gamma("registry.gamma7"),
-    _rename_gamma("registry.gammaX"),
-], ids=["truncated-manifest", "missing-array-file", "gamma-out-of-range", "gamma-not-numeric"])
-def test_malformed_checkpoint_exits_2(tmp_path, capsys, damage):
+def _edit_manifest(edit):
+    def damage(directory):
+        manifest = json.loads((directory / MANIFEST).read_text())
+        (directory / MANIFEST).write_text(json.dumps(edit(manifest)))
+    return damage
+
+
+def _set(path, value):
+    """Replace (or, with value None, delete) one manifest field given by its key path."""
+    def edit(manifest):
+        record = manifest
+        for key in path[:-1]:
+            record = record[key]
+        if value is None:
+            del record[path[-1]]
+        else:
+            record[path[-1]] = value
+        return manifest
+    return _edit_manifest(edit)
+
+
+@pytest.mark.parametrize("damage, field", [
+    (_truncate_manifest, "not valid JSON"),
+    (lambda directory: (directory / "array0000.bin").unlink(), "cannot be read"),
+    (_rename_gamma("registry.gamma7"), "registry.gamma7"),
+    (_rename_gamma("registry.gammaX"), "registry.gammaX"),
+    (_edit_manifest(lambda manifest: [manifest]), "JSON object"),
+    (_set(["meta"], None), "field meta "),
+    (_set(["meta"], [1]), "field meta "),
+    (_set(["meta", "config"], None), "field meta.config "),
+    (_set(["meta", "seed"], "0"), "field meta.seed "),
+    (_set(["meta", "step_count"], None), "field meta.step_count "),
+    (_set(["meta", "step_count"], "1"), "field meta.step_count "),
+    (_set(["meta", "step_count"], -1), "field meta.step_count "),
+    (_set(["meta", "registry_initialized"], None), "field meta.registry_initialized "),
+    (_set(["meta", "registry_initialized"], [True]), "field meta.registry_initialized "),
+    (_set(["meta", "registry_initialized"], [1, 0]), "field meta.registry_initialized "),
+    (_set(["arrays"], None), "field arrays "),
+    (_set(["arrays"], {}), "field arrays "),
+    (_set(["arrays", 0], "expert0.trend_w"), "field arrays[0].name "),
+    (_set(["arrays", 0, "name"], None), "field arrays[0].name "),
+    (_set(["arrays", 0, "shape"], None), "field arrays[0].shape "),
+    (_set(["arrays", 0, "shape"], "12,6"), "field arrays[0].shape "),
+    (_set(["arrays", 0, "shape"], [12, "6"]), "field arrays[0].shape "),
+    (_set(["arrays", 0, "dtype"], None), "field arrays[0].dtype "),
+    (_set(["arrays", 0, "file"], None), "field arrays[0].file "),
+    (_set(["arrays", 0, "file"], 0), "field arrays[0].file "),
+], ids=["truncated-manifest", "missing-array-file", "gamma-out-of-range", "gamma-not-numeric",
+        "manifest-not-object", "no-meta", "meta-not-object", "no-config", "seed-not-int",
+        "no-step-count", "step-count-not-int", "step-count-negative", "no-registry-flags",
+        "registry-flags-too-few", "registry-flags-not-bool", "no-arrays", "arrays-not-list",
+        "entry-not-object", "no-name", "no-shape", "shape-not-list", "shape-not-ints",
+        "no-dtype", "no-file", "file-not-string"])
+def test_malformed_checkpoint_exits_2(tmp_path, capsys, damage, field):
     assert main(["synth", "--out", str(tmp_path / "data"), "--length", "200",
                  "--channels-per-group", "1", "--seed", "0"]) == 0
     save_model(trained_model(), tmp_path / "ckpt")
@@ -162,4 +209,13 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys, damage):
                  str(tmp_path / "data" / "synthetic.csv"), "--out", str(tmp_path / "eval"),
                  "--split", "0.5,0.2,0.3"])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
+def test_saving_a_smaller_model_removes_stale_arrays(tmp_path):
+    save_model(trained_model(n_experts=3), tmp_path)
+    save_model(trained_model(n_experts=2), tmp_path)
+    listed = {e["file"] for e in json.loads((tmp_path / MANIFEST).read_text())["arrays"]}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(listed | {MANIFEST})
+    assert load_model(tmp_path).n_experts == 2

@@ -8,8 +8,11 @@ import sys
 import pytest
 
 from disents import cli
+from disents.backbones import BackboneConfig
+from disents.checkpoint import save_model
 from disents.cli import load_run_config, main
 from disents.errors import ConfigError, ParseError
+from disents.pipeline import DisenTSModel, ModelConfig
 
 TRAIN_FLAGS = ["--lookback", "16", "--horizon", "8", "--gate-dim", "16",
                "--gate-heads", "2", "--epochs", "2", "--batch-size", "32",
@@ -107,6 +110,17 @@ def test_inspect_lwa(workspace):
     for entry in manifest:
         assert entry["epsilon"] >= 0 and entry["iterations"] >= 1
         assert (out / entry["file"]).is_file()
+
+
+def test_inspect_lwa_needs_two_experts(workspace, tmp_path, capsys):
+    ckpt = tmp_path / "single"
+    save_model(DisenTSModel(ModelConfig(n_experts=1, backbone=BackboneConfig("linear", 16, 8))),
+               ckpt)
+    out = tmp_path / "lwa"
+    assert main(["inspect", "lwa", "--checkpoint", str(ckpt), "--dataset", str(workspace["csv"]),
+                 "--out", str(out)]) == 2
+    assert "error: a one-expert model keeps no signatures" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_inspect_routing_with_labels(workspace):

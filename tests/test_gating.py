@@ -129,7 +129,7 @@ def test_signatures_are_read_as_constants():
         beta = route(Tensor(np.random.default_rng(12).normal(size=(2, 3, 8))), sigs, gate)
         backward(nc.sum(nc.multiply(beta, np.random.default_rng(13).normal(size=beta.shape))))
     assert np.array_equal(sigs, before)
-    for name, t in gate.parameters():
+    for name, t in gate.params.items():
         assert t.grad is not None, name
     # the loss depends on beta, so at least the output head must feel it
     assert np.abs(gate.params["w_out"].grad).max() > 0

@@ -10,7 +10,8 @@ import pytest
 import disents.numcore as nc
 from disents.backbones import Backbone, BackboneConfig, forecast_batch
 from disents.datakit import WindowedData
-from disents.errors import ConfigError, NumericError, ShapeError
+from disents.checkpoint import load_model, save_model
+from disents.errors import ConfigError, ContractError, NumericError, ShapeError
 from disents.gating import GateConfig
 from disents.lwa import approximate, effective_top_k, select_top_k
 from disents.numcore import AdamState, adam_step, backward, recording
@@ -143,10 +144,29 @@ def test_expert_zero_init_matches_baseline_backbone():
     baseline = DisenTSModel(small_config(1), seed=7)
     assert baseline.gate is None
     assert not [name for name, _ in baseline.named_parameters() if name.startswith("gate.")]
-    ours, theirs = model.backbones[0].parameters(), baseline.backbones[0].parameters()
+    ours, theirs = model.backbones[0].params.items(), baseline.backbones[0].params.items()
     assert [name for name, _ in ours] == [name for name, _ in theirs]
     for (name, a), (_, b) in zip(ours, theirs):
         assert np.array_equal(a.data, b.data), name
+
+
+def test_arrays_and_set_parameter_share_one_set_of_names():
+    model = DisenTSModel(small_config(2), seed=0)
+    params = model.named_parameters()
+    arrays = model.arrays()
+    assert list(arrays) == [name for name, _ in params] + ["registry.gamma0", "registry.gamma1"]
+    assert all(arrays[name] is t.data for name, t in params)
+    arrays["registry.gamma1"][...] = 5.0  # the registry entries are views
+    assert (model.registry.gamma[1] == 5.0).all()
+    single = DisenTSModel(small_config(1), seed=0)
+    for target, name in [(model, "expert2.w"), (model, "expertX.w"), (model, "expert01.w"),
+                         (model, "expert0.nope"), (model, "gate.nope"), (model, "bogus.w"),
+                         (model, "expert0"), (single, "gate.w_in")]:
+        with pytest.raises(ContractError, match="unknown parameter"):
+            target.set_parameter(name, nc.constant(np.zeros(1)))
+    replacement = nc.parameter(np.zeros((12, 6)))
+    model.set_parameter("expert1.w", replacement)
+    assert model.backbones[1].params["w"] is replacement
 
 
 def test_train_step_updates_everything_in_order():
@@ -256,6 +276,23 @@ def test_fit_history_and_early_stopping():
     assert len(one.history) == 1
 
 
+def test_restored_state_keeps_the_step_count_of_its_epoch(tmp_path):
+    data = toy_windows(5)  # 40 windows in batches of 16: three steps an epoch
+    model = DisenTSModel(small_config(2), seed=5)
+    result = fit(model, data, TrainConfig(epochs=4, batch_size=16, lr=1e-2, patience=4, seed=5))
+    val = [r.val_mse for r in result.history]
+    best = int(np.argmin(val))
+    assert best < len(val) - 1  # the restored state is not the last one trained
+    assert model.step_count == 3 * (best + 1)
+    assert evaluate(model, data.val_x, data.val_y).mse == result.best_val_mse
+    save_model(model, tmp_path)
+    loaded = load_model(tmp_path)
+    assert loaded.step_count == model.step_count
+    assert loaded.registry.initialized == model.registry.initialized
+    for name, a in model.arrays().items():
+        assert np.array_equal(a, loaded.arrays()[name]), name
+
+
 def test_fit_writes_a_jsonl_log(tmp_path):
     data = toy_windows(14)
     model = DisenTSModel(small_config(2), seed=14)
@@ -334,7 +371,7 @@ def test_single_expert_run_pairs_with_unified_baseline():
     model = DisenTSModel(cfg, seed=19)
     backbone = Backbone(cfg.backbone, init_rng(19))
     params = [t for _, t in model.named_parameters()]
-    plain = [t for _, t in backbone.parameters()]
+    plain = [t for _, t in backbone.params.items()]
     assert len(params) == len(plain)
     opt, plain_opt = AdamState.for_params(params, lr=1e-3), AdamState.for_params(plain, lr=1e-3)
     rng, plain_rng = train_rng(19), train_rng(19)
