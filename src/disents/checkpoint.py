@@ -55,7 +55,31 @@ def save_model(model: DisenTSModel, directory: str | Path) -> Path:
     return directory
 
 
+_INT_FIELDS = {"n_experts", "lookback", "horizon", "hidden", "decomp_kernel", "embed_dim",
+               "heads", "top_k"}
+_NUMBER_FIELDS = {"alpha", "rcond", "dropout", "sc_weight", "tau", "eps_norm"}
+
+
+def _check_config_types(raw: dict, where: str = "meta.config.") -> None:
+    """ConfigError naming the first integer field that holds no int (only
+    top_k may be null), numeric field that holds no finite number (a bool is
+    neither) or flag that holds no bool. Otherwise a float lookback fails in
+    model construction, outside any check, a NaN passes every range check,
+    and the string "no" switches normalize_sims on."""
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            _check_config_types(value, f"{where}{key}.")
+        elif key in _INT_FIELDS and type(value) is not int and (key, value) != ("top_k", None):
+            raise ConfigError(f"checkpoint manifest field {where}{key} must be an integer")
+        elif key in _NUMBER_FIELDS and (type(value) not in (int, float)
+                                        or not math.isfinite(value)):
+            raise ConfigError(f"checkpoint manifest field {where}{key} must be a finite number")
+        elif key == "normalize_sims" and type(value) is not bool:
+            raise ConfigError(f"checkpoint manifest field {where}{key} must be a boolean")
+
+
 def _config_from_dict(raw: dict) -> ModelConfig:
+    _check_config_types(raw)
     try:
         return ModelConfig(
             n_experts=raw["n_experts"],
@@ -125,6 +149,9 @@ def load_model(directory: str | Path) -> DisenTSModel:
         dtype, filename = _field(entry, "dtype", str, where), _field(entry, "file", str, where)
         if dtype != "float64":
             raise ConfigError(f"array {name!r} has unsupported dtype {dtype!r}")
+        if filename in ("", ".", "..") or any(c in filename for c in "/\\\0"):
+            raise ConfigError(f"checkpoint manifest field {where}file must name a file inside "
+                              f"the checkpoint directory, got {filename!r}")
         try:
             raw = np.fromfile(directory / filename, dtype="<f8")
         except OSError as exc:

@@ -6,7 +6,8 @@ norm, dropout, plus the SVD pseudo-inverse (a deliberate gradient barrier)
 and the Adam update. Ops executed inside a `recording()` block append one
 entry to the active DiffRecord; `backward(loss)` replays that tape exactly
 once, in reverse execution order, and leaves gradients on every
-participating tensor that requires them.
+participating tensor that requires them. Elementwise ops and matmul compute
+no adjoint for an input that takes no gradient.
 
 All data is float64 and row-major. The tape is thread-local, so concurrent
 evaluation threads that never open a recording stay independent.
@@ -194,8 +195,8 @@ def _elementwise(a, b, fwd, bwd_a, bwd_b) -> Tensor:
 
     def backward(g):
         return (
-            _unbroadcast(bwd_a(g, a.data, b.data), a.data.shape),
-            _unbroadcast(bwd_b(g, a.data, b.data), b.data.shape),
+            _unbroadcast(bwd_a(g, a.data, b.data), a.data.shape) if a.requires_grad else None,
+            _unbroadcast(bwd_b(g, a.data, b.data), b.data.shape) if b.requires_grad else None,
         )
 
     return _record_op(out, (a, b), backward)
@@ -233,7 +234,8 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _record_op(out, (a, b), backward)
 
@@ -557,9 +559,13 @@ def pinv(x, rcond: float = 1e-6) -> Tensor:
     return Tensor(out)
 
 
+ADAM_BLOCK = 16384  # elements per Adam update block; two block-sized buffers stay in cache
+
+
 @dataclass
 class AdamState:
-    """First/second moment buffers for one fixed, ordered parameter list."""
+    """First/second moment buffers for one fixed, ordered parameter list,
+    and the two block-sized scratch buffers `adam_step` computes in."""
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -568,6 +574,9 @@ class AdamState:
     step_count: int = 0
     m: list[Array] = field(default_factory=list)
     v: list[Array] = field(default_factory=list)
+    scratch: tuple[Array, Array] = field(
+        default_factory=lambda: (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)),
+        init=False, repr=False, compare=False)
 
     @classmethod
     def for_params(cls, params: Sequence[Tensor], lr: float = 1e-3,
@@ -579,14 +588,23 @@ class AdamState:
 
 
 def adam_step(params: Sequence[Tensor], grads: Sequence[Array | None], state: AdamState) -> None:
-    """One bias-corrected Adam update, in place on the parameter data."""
+    """One bias-corrected Adam update, in place on the parameter data.
+
+    Each parameter is updated in blocks of leading-axis rows, about
+    ADAM_BLOCK elements each. A row slice is a view whatever the memory
+    layout, so every block writes into the parameter's own array. Each block
+    runs the elementwise ops of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps) in that order, so the result equals
+    the whole-array update bit for bit without its full-size temporaries.
+    """
     if len(params) != len(state.m) or len(params) != len(grads):
         raise ContractError(
             f"adam_step got {len(params)} params, {len(grads)} grads, state of {len(state.m)}"
         )
     state.step_count += 1
-    correct1 = 1.0 - state.beta1 ** state.step_count
-    correct2 = 1.0 - state.beta2 ** state.step_count
+    beta1, beta2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    correct1 = 1.0 - beta1 ** state.step_count
+    correct2 = 1.0 - beta2 ** state.step_count
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g is None:
             raise ContractError("adam_step received a missing gradient")
@@ -595,8 +613,23 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[Array | None], state: Ad
             raise ShapeError(
                 f"adam_step shape mismatch: param {p.data.shape}, grad {g.shape}, moment {m.shape}"
             )
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+        p_rows, g_rows, m_rows, v_rows = (a if a.ndim else a[np.newaxis] for a in (p.data, g, m, v))
+        row = math.prod(p_rows.shape[1:])
+        rows_per_block = max(1, ADAM_BLOCK // max(row, 1))
+        if state.scratch[0].size < rows_per_block * row:  # a single row longer than a block
+            state.scratch = (np.empty(rows_per_block * row), np.empty(rows_per_block * row))
+        for start in range(0, p_rows.shape[0], rows_per_block):
+            block = slice(start, start + rows_per_block)
+            pb, gb, mb, vb = p_rows[block], g_rows[block], m_rows[block], v_rows[block]
+            t1, t2 = (buf[:gb.size].reshape(gb.shape) for buf in state.scratch)
+            mb *= beta1
+            mb += np.multiply(gb, 1.0 - beta1, out=t1)
+            vb *= beta2
+            np.multiply(gb, gb, out=t1)
+            vb += np.multiply(t1, 1.0 - beta2, out=t1)
+            np.divide(mb, correct1, out=t1)
+            np.multiply(t1, lr, out=t1)
+            np.divide(vb, correct2, out=t2)
+            np.sqrt(t2, out=t2)
+            np.add(t2, eps, out=t2)
+            pb -= np.divide(t1, t2, out=t1)

@@ -147,6 +147,13 @@ def _rename_gamma(new_name):
     return edit
 
 
+def _point_at_neighbour(directory):
+    """Make the first entry read its array from a second checkpoint beside this one."""
+    save_model(trained_model(seed=1), directory.parent / "b")
+    _rewrite_arrays(directory, lambda arrays: [dict(arrays[0], file="../b/array0000.bin"),
+                                               *arrays[1:]])
+
+
 def _edit_manifest(edit):
     def damage(directory):
         manifest = json.loads((directory / MANIFEST).read_text())
@@ -194,12 +201,32 @@ def _set(path, value):
     (_set(["arrays", 0, "dtype"], None), "field arrays[0].dtype "),
     (_set(["arrays", 0, "file"], None), "field arrays[0].file "),
     (_set(["arrays", 0, "file"], 0), "field arrays[0].file "),
+    (_point_at_neighbour, "field arrays[0].file "),
+    (_set(["arrays", 0, "file"], "/array0000.bin"), "field arrays[0].file "),
+    (_set(["arrays", 0, "file"], "sub/array0000.bin"), "field arrays[0].file "),
+    (_set(["arrays", 0, "file"], ".."), "field arrays[0].file "),
+    (_set(["arrays", 0, "file"], ""), "field arrays[0].file "),
+    (_set(["arrays", 0, "file"], "array0000.bin\0"), "field arrays[0].file "),
+    (_set(["meta", "config", "backbone", "lookback"], 16.0),
+     "field meta.config.backbone.lookback "),
+    (_set(["meta", "config", "n_experts"], True), "field meta.config.n_experts "),
+    (_set(["meta", "config", "gate", "heads"], "2"), "field meta.config.gate.heads "),
+    (_set(["meta", "config", "lwa", "top_k"], 4.5), "field meta.config.lwa.top_k "),
+    (_set(["meta", "config", "lwa", "alpha"], "0.9"), "field meta.config.lwa.alpha "),
+    (_set(["meta", "config", "loss", "tau"], False), "field meta.config.loss.tau "),
+    (_set(["meta", "config", "loss", "tau"], float("nan")), "field meta.config.loss.tau "),
+    (_set(["meta", "config", "eps_norm"], [1e-5]), "field meta.config.eps_norm "),
+    (_set(["meta", "config", "loss", "normalize_sims"], "no"),
+     "field meta.config.loss.normalize_sims "),
 ], ids=["truncated-manifest", "missing-array-file", "gamma-out-of-range", "gamma-not-numeric",
         "manifest-not-object", "no-meta", "meta-not-object", "no-config", "seed-not-int",
         "no-step-count", "step-count-not-int", "step-count-negative", "no-registry-flags",
         "registry-flags-too-few", "registry-flags-not-bool", "no-arrays", "arrays-not-list",
         "entry-not-object", "no-name", "no-shape", "shape-not-list", "shape-not-ints",
-        "no-dtype", "no-file", "file-not-string"])
+        "no-dtype", "no-file", "file-not-string", "file-in-neighbour", "file-absolute",
+        "file-in-subdirectory", "file-parent", "file-empty", "file-nul", "lookback-float",
+        "n-experts-bool", "heads-string", "top-k-float", "alpha-string", "tau-bool", "tau-nan",
+        "eps-norm-list", "normalize-sims-string"])
 def test_malformed_checkpoint_exits_2(tmp_path, capsys, damage, field):
     assert main(["synth", "--out", str(tmp_path / "data"), "--length", "200",
                  "--channels-per-group", "1", "--seed", "0"]) == 0

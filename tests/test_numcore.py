@@ -2,13 +2,17 @@
 pseudo-inverse identities vs normal equations, and the Adam update."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import disents.numcore as nc
 from disents.errors import ContractError, NumericError, ShapeError
-from disents.numcore import AdamState, Tensor, adam_step, backward, grad_check, pinv, recording
+from disents.backbones import BackboneConfig
+from disents.numcore import (ADAM_BLOCK, AdamState, Tensor, adam_step, backward, grad_check, pinv,
+                             recording)
+from disents.pipeline import DisenTSModel, ModelConfig
 
 
 def rand(shape, seed):
@@ -363,6 +367,103 @@ def test_adam_contract_errors():
         adam_step([p], [None], state)
     with pytest.raises(ContractError):
         adam_step([p, p], [np.zeros(3), np.zeros(3)], state)
+
+
+def whole_array_adam(p, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The Adam update over whole arrays, the reference for the blocked one."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    p -= lr * (m / (1.0 - beta1 ** step)) / (np.sqrt(v / (1.0 - beta2 ** step)) + eps)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("shape, transposed_grad", [
+    ((3 * ADAM_BLOCK + 7,), False),
+    ((300, 100), False),
+    ((300, 100), True),
+    ((3, ADAM_BLOCK + 5), False),
+    ((), False),
+], ids=["1d-ragged-last-block", "2d-rows-not-dividing-block", "2d-transposed-grad",
+        "rows-longer-than-a-block", "scalar"])
+def test_blocked_adam_matches_whole_array_formula(shape, transposed_grad):
+    rng = np.random.default_rng(40)
+    p = nc.parameter(rng.normal(size=shape))
+    ref_p, ref_m, ref_v = p.data.copy(), np.zeros(shape), np.zeros(shape)
+    state = AdamState.for_params([p], lr=1e-2)
+    for step in range(1, 6):
+        g = rng.normal(size=shape[::-1]).T if transposed_grad else rng.normal(size=shape)
+        assert g.flags.c_contiguous != transposed_grad
+        adam_step([p], [g], state)
+        whole_array_adam(ref_p, g, ref_m, ref_v, step, lr=1e-2)
+    assert same_bits(p.data, ref_p)
+    assert same_bits(state.m[0], ref_m) and same_bits(state.v[0], ref_v)
+
+
+def test_blocked_adam_updates_a_transposed_parameter_in_place():
+    model = DisenTSModel(ModelConfig(n_experts=1, backbone=BackboneConfig("linear", 200, 100)))
+    base = np.random.default_rng(41).normal(size=(100, 200))
+    model.set_parameter("expert0.w", Tensor(base.T, requires_grad=True))
+    params = [t for _, t in model.named_parameters()]
+    assert not params[0].data.flags.c_contiguous and params[0].size > ADAM_BLOCK
+    refs = [(t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for t in params]
+    state = AdamState.for_params(params, lr=1e-2)
+    rng = np.random.default_rng(42)
+    for step in range(1, 6):
+        grads = [rng.normal(size=t.shape) for t in params]
+        adam_step(params, grads, state)
+        for (p, m, v), g in zip(refs, grads):
+            whole_array_adam(p, g, m, v, step, lr=1e-2)
+    assert params[0].data.base is base
+    assert same_bits(base.T, refs[0][0])
+    for t, (p, _, _) in zip(params, refs):
+        assert same_bits(t.data, p)
+
+
+def test_adam_states_never_share_scratch():
+    p = nc.parameter(np.zeros(3))
+    states = [AdamState.for_params([p]), AdamState.for_params([p]), AdamState(), AdamState()]
+    buffers = [buf for state in states for buf in state.scratch]
+    assert all(not np.shares_memory(a, b) for i, a in enumerate(buffers) for b in buffers[i + 1:])
+
+
+def test_warm_adam_step_allocates_no_full_size_temporaries():
+    n = 1 << 20
+    p = nc.parameter(rand((n,), 43))
+    g = rand((n,), 44)
+    state = AdamState.for_params([p])
+    adam_step([p], [g], state)
+    tracemalloc.start()
+    try:
+        adam_step([p], [g], state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # one full-size temporary alone is 8 MiB
+
+
+def _first_entry_adjoints(op, a, b, g):
+    with recording() as rec:
+        op(a, b)
+    return rec._entries[0].backward(g)
+
+
+def test_constant_operands_get_no_adjoint():
+    a, b, g = rand((4, 3), 45), rand((3, 5), 46), rand((4, 5), 47)
+    d_a, d_b = _first_entry_adjoints(nc.matmul, nc.parameter(a), nc.constant(b), g)
+    assert d_b is None and same_bits(d_a, g @ b.T)
+    d_a, d_b = _first_entry_adjoints(nc.matmul, nc.constant(a), nc.parameter(b), g)
+    assert d_a is None and same_bits(d_b, a.T @ g)
+
+    c, g = rand((3,), 48), rand((4, 3), 49)
+    d_a, d_c = _first_entry_adjoints(nc.multiply, nc.parameter(a), nc.constant(c), g)
+    assert d_c is None and same_bits(d_a, g * c)
+    d_a, d_c = _first_entry_adjoints(nc.multiply, nc.constant(a), nc.parameter(c), g)
+    assert d_a is None and same_bits(d_c, (g * a).sum(axis=0))
 
 
 def test_seeded_ops_are_deterministic():
