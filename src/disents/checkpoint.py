@@ -140,6 +140,7 @@ def load_model(directory: str | Path) -> DisenTSModel:
     if missing or repeated:
         raise ConfigError(f"checkpoint arrays missing: {', '.join(missing) or 'none'}; "
                           f"listed more than once: {', '.join(repeated) or 'none'}")
+    loaded = {}
     for i, (name, entry) in enumerate(zip(names, entries)):
         where = f"arrays[{i}]."
         shape = tuple(_field(entry, "shape", list, where))
@@ -161,5 +162,6 @@ def load_model(directory: str | Path) -> DisenTSModel:
         if targets[name].shape != shape:
             raise ConfigError(f"shape mismatch for {name!r}: checkpoint {shape}, "
                               f"model {targets[name].shape}")
-        targets[name][...] = raw.reshape(shape)
+        loaded[name] = raw.reshape(shape)
+    model.load_arrays(loaded)
     return model

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -111,12 +112,38 @@ def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config overrides: {', '.join(unknown)}")
     merged.update(overrides)
-    try:
-        config = RunConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
+    _check_types(merged)
+    config = RunConfig(**merged)
     _validate(config)
     return config
+
+
+def _fits(value, kind: str) -> bool:
+    """Whether `value` is of the annotated `kind`. A bool is no int, and a
+    float field takes finite ints or floats."""
+    if kind.startswith("list["):
+        return type(value) is list and all(_fits(v, kind[5:-1]) for v in value)
+    if kind == "float":
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is {"int": int, "bool": bool, "str": str, "None": type(None)}[kind]
+
+
+_KIND_WORDS = {"int": "an integer", "float": "a finite number", "bool": "true or false",
+               "str": "a string", "None": "null", "list[int]": "a list of integers",
+               "list[float]": "a list of finite numbers"}
+
+
+def _check_types(merged: dict) -> None:
+    """ConfigError naming the first key whose value does not match its
+    RunConfig annotation. A field whose default is null also takes null."""
+    for f in fields(RunConfig):
+        kinds = f.type.split(" | ")
+        if f.default is None and "None" not in kinds:
+            kinds.append("None")
+        if not any(_fits(merged[f.name], kind) for kind in kinds):
+            raise ConfigError(f"config key {f.name} must be "
+                              f"{' or '.join(_KIND_WORDS[k] for k in kinds)}, "
+                              f"got {merged[f.name]!r}")
 
 
 def _validate(config: RunConfig) -> None:
@@ -140,6 +167,7 @@ def _validate(config: RunConfig) -> None:
     # Constructing the component configs validates their own ranges early.
     _window_spec(config, config.lookback, config.horizon)
     _model_config(config)
+    _train_config(config)
     eval_threads()  # DISENTS_THREADS, read now so a bad value fails before any data
 
 
@@ -341,7 +369,9 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=int, dest="epochs")
     parser.add_argument("--batch-size", type=int, dest="batch_size")
     parser.add_argument("--lr", type=float, dest="lr")
-    parser.add_argument("--patience", type=int, dest="patience")
+    parser.add_argument("--patience", type=int, dest="patience",
+                        help="epochs without a better validation MSE before training "
+                             "stops; 0 stops after the first epoch")
     parser.add_argument("--split", dest="split",
                         help="train,val,test fractions, e.g. 0.6,0.2,0.2")
 

@@ -146,10 +146,15 @@ def cross_attend(h_x: Tensor, h_f: Tensor, gate: GateParams,
 
 
 def route(x: Tensor, signatures: np.ndarray, gate: GateParams,
-          training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """Routing weights over experts, [B, C, L] -> [B, C, K] rows on the simplex."""
+          training: bool = False, rng: np.random.Generator | None = None,
+          embedded: Tensor | None = None) -> Tensor:
+    """Routing weights over experts, [B, C, L] -> [B, C, K] rows on the simplex.
+
+    `embedded`, when given, must be `embed_forecasters(signatures, gate)`
+    computed earlier on the same weights; it is used in place of a fresh
+    embedding."""
     h_x = embed_channels(x, gate)
-    h_f = embed_forecasters(signatures, gate)
+    h_f = embed_forecasters(signatures, gate) if embedded is None else embedded
     h = cross_attend(h_x, h_f, gate, training, rng)
     b, c, d = h.shape
     logits = nc.matmul(nc.reshape(h, (b * c, d)), gate.params["w_out"])

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import gating
 from . import numcore as nc
 from .backbones import Backbone, BackboneConfig, forecast_batch
 from .datakit import WindowedData
@@ -80,6 +81,9 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """`patience` is the number of epochs in a row without a new best
+    validation MSE after which `fit` stops; 0 stops after the first epoch."""
+
     epochs: int = 15
     batch_size: int = 32
     lr: float = 1e-3
@@ -115,6 +119,9 @@ class DisenTSModel:
                                     config.lwa.alpha, rng)
         self.stationarizer = Stationarizer(config.eps_norm)
         self.step_count = 0
+        # Bumped by every write to the parameters; keys the signature embedding.
+        self._version = 0
+        self._embedding: tuple[int, np.ndarray, Tensor] | None = None
 
     @property
     def n_experts(self) -> int:
@@ -135,15 +142,46 @@ class DisenTSModel:
         params = self._scopes().get(scope, {})
         if key not in params:
             raise ContractError(f"unknown parameter {name!r}")
+        self._version += 1
         params[key] = tensor
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Every array the model holds, by name: the parameters, then one
-        registry signature per expert. The values are the live arrays, so
-        writing into them changes the model."""
+        registry signature per expert. The values are the live arrays, for
+        reading: write through `load_arrays`. Evaluation reuses one signature
+        embedding until `train_step`, `set_parameter` or `load_arrays` bumps
+        the state version or the registry's values change, so a hand write
+        into a gate parameter would leave it stale."""
         out = {name: t.data for name, t in self.named_parameters()}
         out.update((f"registry.gamma{m}", g) for m, g in enumerate(self.registry.gamma))
         return out
+
+    def load_arrays(self, saved: dict[str, np.ndarray]) -> None:
+        """Copy `saved[name]` into every array of `arrays()`, in place."""
+        targets = self.arrays()
+        if set(saved) != set(targets):
+            raise ContractError(f"load_arrays needs exactly the names of arrays(); "
+                                f"got {sorted(set(saved) ^ set(targets))} in one but not both")
+        for name, target in targets.items():
+            if np.shape(saved[name]) != target.shape:
+                raise ShapeError(f"{name} has shape {target.shape}, got {np.shape(saved[name])}")
+        self._version += 1
+        for name, target in targets.items():
+            target[...] = saved[name]
+
+    def _signature_embedding(self) -> Tensor:
+        """`gating.embed_forecasters` of the registry, reused while neither
+        the state version nor the registry's values change. One tuple holds
+        the cache, so concurrent evaluation threads at worst compute it twice."""
+        version, gamma = self._version, self.registry.gamma
+        cached = self._embedding
+        if cached is not None and cached[0] == version and np.array_equal(cached[1], gamma):
+            return cached[2]
+        gamma = gamma.copy()
+        embedded = gating.embed_forecasters(gamma, self.gate)
+        embedded.data.setflags(write=False)
+        self._embedding = (version, gamma, embedded)
+        return embedded
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Evaluation-mode forecasts, [B, C, L] -> [B, C, H]."""
@@ -163,13 +201,19 @@ class ForwardResult:
 
 def forward(model: DisenTSModel, x: np.ndarray, training: bool = False,
             rng: np.random.Generator | None = None) -> ForwardResult:
-    """One full forecast pass; expert outputs stay on the stationarized scale."""
+    """One full forecast pass; expert outputs stay on the stationarized scale.
+
+    In evaluation mode with no tape recording, the gate reads the model's
+    cached signature embedding; otherwise it embeds the signatures afresh,
+    so gradients reach the embedding MLP."""
     xn, mu, sigma = model.stationarizer.normalize(x)
     x_norm = nc.constant(xn)
     if model.gate is None:
         beta = nc.constant(np.ones(xn.shape[:2] + (1,)))
     else:
-        beta = route(x_norm, model.registry.gamma, model.gate, training, rng)
+        fresh = training or nc._active_record() is not None
+        embedded = None if fresh else model._signature_embedding()
+        beta = route(x_norm, model.registry.gamma, model.gate, training, rng, embedded)
     outputs = [forecast_batch(bb, x_norm, training) for bb in model.backbones]
     mixed: Tensor | None = None
     for m, out in enumerate(outputs):
@@ -231,6 +275,7 @@ def train_step(model: DisenTSModel, x: np.ndarray, y: np.ndarray,
         _require_finite(l_fc=l_fc.item(), l_sc=l_sc.item(), total=total.item())
         backward(total)
     params = [t for _, t in model.named_parameters()]
+    model._version += 1
     adam_step(params, [p.grad for p in params], opt)
     epsilons = signature_errors(fwd, signatures)
     for m, w in enumerate(signatures):
@@ -262,6 +307,11 @@ def eval_threads(threads: int | None = None) -> int:
         raise ConfigError(f"DISENTS_THREADS must be an integer, got {raw!r}") from None
 
 
+def _check_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be positive, got {batch_size}")
+
+
 def evaluate(model, x: np.ndarray, y: np.ndarray, batch_size: int = 256,
              threads: int | None = None) -> Metrics:
     """Forecast metrics of any `.predict` model over a windowed split.
@@ -269,6 +319,7 @@ def evaluate(model, x: np.ndarray, y: np.ndarray, batch_size: int = 256,
     Batches may be sharded across threads (capped by DISENTS_THREADS); the
     reduction order is fixed by batch index, so results do not depend on
     the thread count."""
+    _check_batch_size(batch_size)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 3 or y.ndim != 3 or x.shape[0] != y.shape[0] or x.shape[1] != y.shape[1]:
@@ -374,13 +425,13 @@ def fit(model: DisenTSModel, data: WindowedData, config: TrainConfig,
             break
     if best_state is not None:
         saved, model.registry.initialized, model.step_count = best_state
-        for name, target in model.arrays().items():
-            target[...] = saved[name]
+        model.load_arrays(saved)
     return result
 
 
 def mean_routing(model: DisenTSModel, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
     """Average evaluation-mode routing weights over windows, [C, K]."""
+    _check_batch_size(batch_size)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] == 0:
         raise ShapeError(f"expected a non-empty window stack, got shape {x.shape}")

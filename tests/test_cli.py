@@ -186,6 +186,51 @@ def test_bad_thread_count_exits_2_before_reading_data(workspace, tmp_path, monke
     assert "error: DISENTS_THREADS must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", [
+    {"lookback": 16.0}, {"seed": "1"}, {"epochs": "3"}, {"epochs": 1.5}, {"k_experts": 2.5},
+    {"batch_size": 8.0}, {"stride": 1.0}, {"top_k": 1.5}, {"lr": "0.01"},
+    {"gate_dropout": "0.1"}, {"eval_batch_size": "8"}, {"synth_periods": 5},
+    {"raw_similarity": "no"}, {"k_experts": True}, {"lr": float("nan")},
+    {"synth_harmonics": [11, 18.5]}, {"labels": 3},
+], ids=lambda raw: "-".join(f"{k}-{type(v).__name__}" for k, v in raw.items()))
+def test_mistyped_config_values_exit_2_before_reading_data(raw, workspace, tmp_path,
+                                                           monkeypatch, capsys):
+    def unread(path):
+        raise AssertionError(f"read {path} despite a mistyped config")
+
+    monkeypatch.setattr(cli, "load_csv", unread)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(cfg), "--dataset", str(workspace["csv"]),
+                 "--out", str(tmp_path)]) == 2
+    (key,) = raw
+    assert f"error: config key {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--batch-size", "0"], ["train", "--patience", "-1"],
+    ["inspect", "lwa", "--batch-size", "0"],  # a ContractError traceback
+    ["inspect", "lwa", "--batch-size", "-3"],  # fitted all but the last three windows
+], ids=["train-batch-0", "train-patience-negative", "inspect-batch-0", "inspect-batch-negative"])
+def test_bad_training_ranges_exit_2_before_reading_data(argv, workspace, tmp_path, monkeypatch,
+                                                         capsys):
+    def unread(path):
+        raise AssertionError(f"read {path} despite a bad training range")
+
+    monkeypatch.setattr(cli, "load_csv", unread)
+    checkpoint = ["--checkpoint", str(workspace["train_out"] / "checkpoint")]
+    assert main([*argv, *(checkpoint if argv[0] == "inspect" else []),
+                 "--dataset", str(workspace["csv"]), "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_number_fields_take_ints_and_list_fields_null(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"lr": 1, "top_k": None, "synth_periods": None}))
+    config = load_run_config(str(cfg), {})
+    assert config.lr == 1 and config.top_k is None and config.synth_periods == [24.0, 37.0]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_blowup_exits_3(workspace, tmp_path, capsys):
     code = main(["train", "--dataset", str(workspace["csv"]), "--out", str(tmp_path),

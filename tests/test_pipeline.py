@@ -3,17 +3,20 @@ mixture algebra, step ordering, determinism, early stopping, and the
 single-expert step pairing exactly with a plain single-backbone step."""
 
 import json
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import disents.numcore as nc
+from disents import gating
 from disents.backbones import Backbone, BackboneConfig, forecast_batch
 from disents.datakit import WindowedData
 from disents.checkpoint import load_model, save_model
 from disents.errors import ConfigError, ContractError, NumericError, ShapeError
-from disents.gating import GateConfig
-from disents.lwa import approximate, effective_top_k, select_top_k
+from disents.gating import GateConfig, route
+from disents.lwa import LwaConfig, approximate, effective_top_k, select_top_k
 from disents.numcore import AdamState, adam_step, backward, recording
 from disents.objectives import LossConfig, mse_loss
 from disents.pipeline import (DisenTSModel, ModelConfig, Stationarizer, TrainConfig, evaluate,
@@ -351,6 +354,11 @@ def test_evaluate_input_validation():
         evaluate(model, np.zeros((4, 2, 12)), np.zeros((3, 2, 6)))
     with pytest.raises(ConfigError):
         evaluate(model, np.zeros((0, 2, 12)), np.zeros((0, 2, 6)))
+    for batch_size in (0, -1):  # -1 used to score no window and report mse 0.0
+        with pytest.raises(ConfigError, match="batch_size"):
+            evaluate(model, np.zeros((4, 2, 12)), np.zeros((4, 2, 6)), batch_size=batch_size)
+        with pytest.raises(ConfigError, match="batch_size"):
+            mean_routing(model, np.zeros((4, 2, 12)), batch_size=batch_size)
 
 
 def test_mean_routing_is_a_channel_simplex():
@@ -391,3 +399,160 @@ def test_single_expert_run_pairs_with_unified_baseline():
     for ours, theirs in zip(params, plain):
         assert np.array_equal(ours.data, theirs.data)
     assert rng.random() == plain_rng.random()
+
+
+class _Fresh:
+    """A model's forecasts with the signatures embedded on every call: under
+    a recording tape `forward` leaves the cached embedding alone."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def predict(self, x):
+        with recording():
+            return forward(self.model, x, training=False).y_hat.data
+
+
+def _count_embeddings(monkeypatch) -> list:
+    calls = []
+    original = gating.embed_forecasters
+
+    def counted(signatures, gate):
+        calls.append(1)
+        return original(signatures, gate)
+
+    monkeypatch.setattr(gating, "embed_forecasters", counted)
+    return calls
+
+
+def _trained(config, seed, steps=3):
+    model = DisenTSModel(config, seed=seed)
+    data = toy_windows(seed)
+    opt = AdamState.for_params([t for _, t in model.named_parameters()], lr=1e-2)
+    rng = train_rng(seed)
+    for step in range(steps):
+        train_step(model, data.train_x[8 * step:8 * step + 8], data.train_y[8 * step:8 * step + 8],
+                   opt, rng)
+    return model, data, opt, rng
+
+
+def test_cached_signature_embedding_gives_the_fresh_outputs(monkeypatch):
+    model, data, _, _ = _trained(small_config(3), seed=23)
+    x, y = data.test_x, data.test_y
+    fresh = _Fresh(model)
+    cached = model.predict(x)
+    assert np.array_equal(cached, fresh.predict(x))
+    assert np.array_equal(model.predict(x), cached)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DISENTS_THREADS", threads)
+        assert evaluate(model, x, y, batch_size=4) == evaluate(fresh, x, y, batch_size=4)
+    totals = np.zeros((x.shape[1], 3))
+    for start in range(0, x.shape[0], 5):
+        xn, _, _ = model.stationarizer.normalize(x[start:start + 5])
+        totals += route(nc.constant(xn), model.registry.gamma, model.gate).data.sum(axis=0)
+    assert np.array_equal(mean_routing(model, x, batch_size=5), totals / x.shape[0])
+    # Threads racing to fill a cold cache, more of them than cores, switching often.
+    model.set_parameter("gate.sig_b2", nc.parameter(model.gate.params["sig_b2"].data + 0.1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        raced = evaluate(model, x, y, batch_size=1, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert raced == evaluate(fresh, x, y, batch_size=1, threads=1)
+
+
+def test_serving_embeds_the_signatures_once(monkeypatch):
+    model = DisenTSModel(small_config(2), seed=24)
+    data = toy_windows(24)
+    calls = _count_embeddings(monkeypatch)
+    for i in range(10):
+        model.predict(data.test_x[i:i + 1])
+    evaluate(model, data.test_x, data.test_y, batch_size=4, threads=2)
+    assert len(calls) == 1
+
+
+def _write_train_step(model, data, opt, rng, tmp_path):
+    gamma = model.registry.gamma.copy()
+    train_step(model, data.train_x[24:32], data.train_y[24:32], opt, rng)
+    assert np.array_equal(model.registry.gamma, gamma)  # alpha 1: only the weights moved
+    return model
+
+
+def _write_fit_restore(model, data, opt, rng, tmp_path):
+    result = fit(model, data, TrainConfig(epochs=4, batch_size=16, lr=1e-2, patience=4, seed=22))
+    assert int(np.argmin([r.val_mse for r in result.history])) < len(result.history) - 1
+    return model
+
+
+def _write_load_arrays(model, data, opt, rng, tmp_path):
+    saved = {name: a.copy() for name, a in model.arrays().items()}
+    saved["gate.sig_w1"] *= 1.5
+    model.load_arrays(saved)
+    return model
+
+
+def _write_load_model(model, data, opt, rng, tmp_path):
+    save_model(model, tmp_path)
+    return load_model(tmp_path)
+
+
+def _write_set_parameter(model, data, opt, rng, tmp_path):
+    model.set_parameter("gate.sig_w2", nc.parameter(model.gate.params["sig_w2"].data * 1.5))
+    return model
+
+
+def _write_registry_array(model, data, opt, rng, tmp_path):
+    model.arrays()["registry.gamma1"][...] *= 1.5
+    return model
+
+
+def _write_registry_update(model, data, opt, rng, tmp_path):
+    model.registry.alpha = 0.5  # at 1.0 an update leaves the registry as it is
+    model.registry.update(0, np.ones_like(model.registry.gamma[0]))
+    return model
+
+
+@pytest.mark.parametrize("write", [_write_train_step, _write_fit_restore, _write_load_arrays,
+                                   _write_load_model, _write_set_parameter,
+                                   _write_registry_array, _write_registry_update],
+                         ids=lambda f: f.__name__[len("_write_"):])
+def test_each_write_path_embeds_the_signatures_once_more(write, tmp_path, monkeypatch):
+    config = replace(small_config(2), lwa=LwaConfig(alpha=1.0))
+    model, data, opt, rng = _trained(config, seed=22, steps=1)
+    x = data.test_x
+    calls = _count_embeddings(monkeypatch)
+    before = model.predict(x)
+    assert np.array_equal(model.predict(x), before) and len(calls) == 1
+    target = write(model, data, opt, rng, tmp_path)
+    start = len(calls)
+    after = target.predict(x)
+    assert np.array_equal(target.predict(x), after)
+    assert len(calls) == start + 1
+    rebuilt = DisenTSModel(config, seed=0)
+    rebuilt.load_arrays({name: a.copy() for name, a in target.arrays().items()})
+    assert np.array_equal(after, rebuilt.predict(x))
+    assert np.array_equal(after, _Fresh(target).predict(x))
+    if write is not _write_load_model:
+        assert not np.array_equal(after, before)
+
+
+def test_load_arrays_takes_every_array_at_its_shape():
+    model = DisenTSModel(small_config(2), seed=0)
+    saved = {name: a.copy() for name, a in model.arrays().items()}
+    with pytest.raises(ContractError, match="registry.gamma1"):
+        model.load_arrays({k: v for k, v in saved.items() if k != "registry.gamma1"})
+    saved["gate.sig_b1"] = saved["gate.sig_b1"][:1]  # would broadcast
+    with pytest.raises(ShapeError, match="gate.sig_b1"):
+        model.load_arrays(saved)
+
+
+def test_recorded_eval_forward_still_trains_the_signature_mlp():
+    model = DisenTSModel(small_config(2), seed=25)
+    data = toy_windows(25)
+    model.predict(data.test_x)  # fills the cache
+    with recording():
+        fwd = forward(model, data.test_x, training=False)
+        backward(mse_loss(fwd.y_hat, nc.constant(data.test_y)))
+    grad = model.gate.params["sig_w1"].grad
+    assert grad is not None and np.abs(grad).max() > 0
