@@ -15,11 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbones import BackboneConfig
+from .decode import decode
 from .errors import ConfigError, ParseError
-from .gating import GateConfig
-from .lwa import LwaConfig
-from .objectives import LossConfig
 from .pipeline import DisenTSModel, ModelConfig
 
 MANIFEST = "manifest.json"
@@ -55,44 +52,6 @@ def save_model(model: DisenTSModel, directory: str | Path) -> Path:
     return directory
 
 
-_INT_FIELDS = {"n_experts", "lookback", "horizon", "hidden", "decomp_kernel", "embed_dim",
-               "heads", "top_k"}
-_NUMBER_FIELDS = {"alpha", "rcond", "dropout", "sc_weight", "tau", "eps_norm"}
-
-
-def _check_config_types(raw: dict, where: str = "meta.config.") -> None:
-    """ConfigError naming the first integer field that holds no int (only
-    top_k may be null), numeric field that holds no finite number (a bool is
-    neither) or flag that holds no bool. Otherwise a float lookback fails in
-    model construction, outside any check, a NaN passes every range check,
-    and the string "no" switches normalize_sims on."""
-    for key, value in raw.items():
-        if isinstance(value, dict):
-            _check_config_types(value, f"{where}{key}.")
-        elif key in _INT_FIELDS and type(value) is not int and (key, value) != ("top_k", None):
-            raise ConfigError(f"checkpoint manifest field {where}{key} must be an integer")
-        elif key in _NUMBER_FIELDS and (type(value) not in (int, float)
-                                        or not math.isfinite(value)):
-            raise ConfigError(f"checkpoint manifest field {where}{key} must be a finite number")
-        elif key == "normalize_sims" and type(value) is not bool:
-            raise ConfigError(f"checkpoint manifest field {where}{key} must be a boolean")
-
-
-def _config_from_dict(raw: dict) -> ModelConfig:
-    _check_config_types(raw)
-    try:
-        return ModelConfig(
-            n_experts=raw["n_experts"],
-            backbone=BackboneConfig(**raw["backbone"]),
-            gate=GateConfig(**raw["gate"]),
-            lwa=LwaConfig(**raw["lwa"]),
-            loss=LossConfig(**raw["loss"]),
-            eps_norm=raw["eps_norm"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"checkpoint config is malformed: {exc}") from exc
-
-
 _KINDS = {dict: "an object", list: "a list", str: "a string", int: "a non-negative integer"}
 
 
@@ -114,15 +73,16 @@ def load_model(directory: str | Path) -> DisenTSModel:
         raise ConfigError(f"no checkpoint manifest at {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"checkpoint manifest {manifest_path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ConfigError(f"checkpoint manifest {manifest_path} must hold a JSON object")
     if manifest.get("format") != FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint format {manifest.get('format')!r}")
     meta = _field(manifest, "meta", dict)
-    model = DisenTSModel(_config_from_dict(_field(meta, "config", dict, "meta.")),
-                         seed=_field(meta, "seed", int, "meta."))
+    config = decode(ModelConfig, _field(meta, "config", dict, "meta."),
+                    "checkpoint manifest field meta.config.")
+    model = DisenTSModel(config, seed=_field(meta, "seed", int, "meta."))
     model.step_count = _field(meta, "step_count", int, "meta.")
     initialized = _field(meta, "registry_initialized", list, "meta.")
     if len(initialized) != model.n_experts or not all(isinstance(v, bool) for v in initialized):

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from .checkpoint import load_model, save_model
 from .datakit import (GroupSpec, SeriesDataset, WindowedData, WindowSpec, labels_sidecar_path,
                       load_csv, load_labels, make_windows, routing_purity, save_csv,
                       split_standardize, synth_generate)
+from .decode import decode
 from .errors import ConfigError, NumericError, ParseError
 from .gating import GateConfig
 from .lwa import LwaConfig
@@ -92,7 +92,6 @@ class RunConfig:
 
 def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
     """Defaults, then the JSON file, then explicit flags. Unknown keys fail."""
-    known = {f.name for f in fields(RunConfig)}
     merged = asdict(RunConfig())
     if config_path is not None:
         path = Path(config_path)
@@ -100,50 +99,15 @@ def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"config file {path} does not exist")
         try:
             raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ParseError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         merged.update(raw)
-    unknown = sorted(set(overrides) - known)
-    if unknown:
-        raise ConfigError(f"unknown config overrides: {', '.join(unknown)}")
     merged.update(overrides)
-    _check_types(merged)
-    config = RunConfig(**merged)
+    config = decode(RunConfig, merged, "config key ")
     _validate(config)
     return config
-
-
-def _fits(value, kind: str) -> bool:
-    """Whether `value` is of the annotated `kind`. A bool is no int, and a
-    float field takes finite ints or floats."""
-    if kind.startswith("list["):
-        return type(value) is list and all(_fits(v, kind[5:-1]) for v in value)
-    if kind == "float":
-        return type(value) in (int, float) and math.isfinite(value)
-    return type(value) is {"int": int, "bool": bool, "str": str, "None": type(None)}[kind]
-
-
-_KIND_WORDS = {"int": "an integer", "float": "a finite number", "bool": "true or false",
-               "str": "a string", "None": "null", "list[int]": "a list of integers",
-               "list[float]": "a list of finite numbers"}
-
-
-def _check_types(merged: dict) -> None:
-    """ConfigError naming the first key whose value does not match its
-    RunConfig annotation. A field whose default is null also takes null."""
-    for f in fields(RunConfig):
-        kinds = f.type.split(" | ")
-        if f.default is None and "None" not in kinds:
-            kinds.append("None")
-        if not any(_fits(merged[f.name], kind) for kind in kinds):
-            raise ConfigError(f"config key {f.name} must be "
-                              f"{' or '.join(_KIND_WORDS[k] for k in kinds)}, "
-                              f"got {merged[f.name]!r}")
 
 
 def _validate(config: RunConfig) -> None:
@@ -319,11 +283,14 @@ def cmd_inspect(config: RunConfig, target: str) -> int:
         print(f"wrote {model.n_experts} signature matrices to {out_dir}")
         return 0
     if target == "routing":
+        labels_path = (labels_sidecar_path(config.dataset) if config.labels is None
+                       else Path(config.labels))
+        if config.labels is not None and not labels_path.is_file():
+            raise ConfigError(f"labels file {labels_path} does not exist")
         beta = mean_routing(model, windows.test_x, config.eval_batch_size)
         np.savetxt(out_dir / "routing.csv", beta, delimiter=",")
         summary: dict = {"channels": dataset.channel_names,
                          "argmax": [int(v) for v in beta.argmax(axis=1)]}
-        labels_path = Path(config.labels) if config.labels else labels_sidecar_path(config.dataset)
         if labels_path.is_file():
             by_name = load_labels(labels_path)
             missing = [n for n in dataset.channel_names if n not in by_name]

@@ -72,14 +72,23 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
     return value
 
 
+def _read_rows(path: str | Path) -> list[list[str]]:
+    """The non-empty rows of a CSV file. Bytes that do not decode, or a row
+    the csv module rejects (a cell over its field size limit), raise
+    ParseError naming the file."""
+    try:
+        with open(path, newline="") as fh:
+            return [r for r in csv.reader(fh) if r]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path} cannot be read as CSV: {exc}") from exc
+
+
 def load_csv(path: str | Path) -> SeriesDataset:
     """Read a dataset; a leading 'date' column (or unparseable first cells)
     is treated as timestamps and dropped. Rows and columns in error messages
     are 1-based, rows counted over data lines only."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [r for r in reader if r]
+    rows = _read_rows(path)
     if len(rows) < 3:  # header plus at least two observations
         raise ParseError(f"{path} holds fewer than two data rows")
     header, data = rows[0], rows[1:]
@@ -127,9 +136,7 @@ def save_csv(dataset: SeriesDataset, path: str | Path) -> Path:
 
 
 def load_labels(path: str | Path) -> dict[str, int]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [r for r in reader if r]
+    rows = _read_rows(path)
     if not rows or rows[0][:2] != ["channel", "group"]:
         raise ParseError(f"{path} is not a labels sidecar")
     out: dict[str, int] = {}

@@ -1,0 +1,58 @@
+"""One decoder from a JSON object to a config dataclass.
+
+The CLI's RunConfig and a checkpoint's ModelConfig are read by the same
+rules, taken from the dataclass's resolved annotations: every field present
+and no other key; a bool is no int; a float field takes finite ints or
+floats; a list is checked element by element; `X | None` (or a null
+default) takes null; a dataclass-typed field is decoded in turn. The
+dataclass's own `__post_init__` then checks ranges.
+"""
+
+from __future__ import annotations
+
+import sys
+import types
+import typing
+from dataclasses import fields, is_dataclass
+
+from .errors import ConfigError
+
+_WORDS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
+          type(None): "null", list[int]: "a list of integers",
+          list[float]: "a list of finite numbers"}
+
+
+def _fits(value, kind) -> bool:
+    """Whether a JSON value is of the annotated `kind`. An int beyond the
+    float range is no finite number."""
+    if is_dataclass(kind):
+        return type(value) is dict
+    if typing.get_origin(kind) is list:
+        return type(value) is list and all(_fits(v, typing.get_args(kind)[0]) for v in value)
+    if kind is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if kind in (int, bool, str, type(None)):
+        return type(value) is kind
+    raise TypeError(f"decode cannot read the annotation {kind!r}")
+
+
+def decode(cls, raw: dict, where: str):
+    """`cls(**raw)` once every key is checked. ConfigError names the first
+    key that is unknown, missing or of the wrong type, after `where`."""
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{where}{unknown[0]} is unknown")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if f.name not in raw:
+            raise ConfigError(f"{where}{f.name} is missing (malformed config)")
+        value, kind = raw[f.name], hints[f.name]
+        kinds = typing.get_args(kind) if isinstance(kind, types.UnionType) else (kind,)
+        if f.default is None and type(None) not in kinds:
+            kinds += (type(None),)
+        if not any(_fits(value, k) for k in kinds):
+            words = " or ".join("an object" if is_dataclass(k) else _WORDS[k] for k in kinds)
+            raise ConfigError(f"{where}{f.name} must be {words}, got {value!r}")
+        values[f.name] = decode(kind, value, f"{where}{f.name}.") if is_dataclass(kind) else value
+    return cls(**values)

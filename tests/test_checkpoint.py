@@ -1,9 +1,13 @@
 """Binary checkpoint round trips and manifest validation."""
 
+import copy
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disents.backbones import BackboneConfig
 from disents.checkpoint import MANIFEST, load_model, save_model
@@ -13,6 +17,7 @@ from disents.gating import GateConfig
 from disents.numcore import AdamState
 from disents.objectives import LossConfig
 from disents.pipeline import DisenTSModel, ModelConfig, train_rng, train_step
+from json_values import JSON_VALUES
 
 
 def trained_model(seed=0, n_experts=2):
@@ -218,6 +223,10 @@ def _set(path, value):
     (_set(["meta", "config", "eps_norm"], [1e-5]), "field meta.config.eps_norm "),
     (_set(["meta", "config", "loss", "normalize_sims"], "no"),
      "field meta.config.loss.normalize_sims "),
+    (_set(["meta", "config", "gate", "heads"], None), "field meta.config.gate.heads "),
+    (_set(["meta", "config", "backbone", "decomp_kernel"], None),
+     "field meta.config.backbone.decomp_kernel "),
+    (_set(["meta", "config", "gate", "bogus"], 1), "field meta.config.gate.bogus "),
 ], ids=["truncated-manifest", "missing-array-file", "gamma-out-of-range", "gamma-not-numeric",
         "manifest-not-object", "no-meta", "meta-not-object", "no-config", "seed-not-int",
         "no-step-count", "step-count-not-int", "step-count-negative", "no-registry-flags",
@@ -226,7 +235,8 @@ def _set(path, value):
         "no-dtype", "no-file", "file-not-string", "file-in-neighbour", "file-absolute",
         "file-in-subdirectory", "file-parent", "file-empty", "file-nul", "lookback-float",
         "n-experts-bool", "heads-string", "top-k-float", "alpha-string", "tau-bool", "tau-nan",
-        "eps-norm-list", "normalize-sims-string"])
+        "eps-norm-list", "normalize-sims-string", "no-heads", "no-decomp-kernel",
+        "unknown-gate-key"])
 def test_malformed_checkpoint_exits_2(tmp_path, capsys, damage, field):
     assert main(["synth", "--out", str(tmp_path / "data"), "--length", "200",
                  "--channels-per-group", "1", "--seed", "0"]) == 0
@@ -246,3 +256,40 @@ def test_saving_a_smaller_model_removes_stale_arrays(tmp_path):
     listed = {e["file"] for e in json.loads((tmp_path / MANIFEST).read_text())["arrays"]}
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(listed | {MANIFEST})
     assert load_model(tmp_path).n_experts == 2
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("tampered")
+    save_model(trained_model(), directory)
+    return directory, json.loads((directory / MANIFEST).read_text())
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_tampered_config_loads_exactly_or_is_rejected(saved, data):
+    """Deleting, retyping or adding a key under meta.config either raises
+    ConfigError or loads a config that is exactly what the manifest holds:
+    nothing filled in from a default, nothing coerced."""
+    directory, manifest = saved
+    manifest = copy.deepcopy(manifest)
+    config = manifest["meta"]["config"]
+    record = data.draw(st.sampled_from([config, *(v for v in config.values()
+                                                  if isinstance(v, dict))]))
+    action = data.draw(st.sampled_from(["delete", "retype", "add"]))
+    if action == "add":
+        key = data.draw(st.text(max_size=8).filter(lambda k: k not in record))
+        record[key] = data.draw(JSON_VALUES)
+    else:
+        key = data.draw(st.sampled_from(sorted(record)))
+        if action == "delete":
+            del record[key]
+        else:  # a value of another type, so no size changes to one that allocates
+            record[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(record[key])))
+    (directory / MANIFEST).write_text(json.dumps(manifest))
+    try:
+        loaded = load_model(directory).config
+    except ConfigError:
+        return
+    assert action == "retype"
+    assert json.dumps(asdict(loaded), sort_keys=True) == json.dumps(config, sort_keys=True)

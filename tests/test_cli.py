@@ -2,17 +2,22 @@
 train/eval agreement, determinism across reruns, and exit codes."""
 
 import json
+import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disents import cli
 from disents.backbones import BackboneConfig
 from disents.checkpoint import save_model
-from disents.cli import load_run_config, main
+from disents.cli import RunConfig, load_run_config, main
 from disents.errors import ConfigError, ParseError
 from disents.pipeline import DisenTSModel, ModelConfig
+from json_values import JSON_VALUES
 
 TRAIN_FLAGS = ["--lookback", "16", "--horizon", "8", "--gate-dim", "16",
                "--gate-heads", "2", "--epochs", "2", "--batch-size", "32",
@@ -229,6 +234,69 @@ def test_config_number_fields_take_ints_and_list_fields_null(tmp_path):
     cfg.write_text(json.dumps({"lr": 1, "top_k": None, "synth_periods": None}))
     config = load_run_config(str(cfg), {})
     assert config.lr == 1 and config.top_k is None and config.synth_periods == [24.0, 37.0]
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("any-config") / "run.json"
+
+
+@settings(max_examples=300)
+@given(raw=st.dictionaries(st.sampled_from([f.name for f in fields(RunConfig)]) | st.text(),
+                           JSON_VALUES, min_size=1, max_size=3))
+def test_any_json_value_on_any_key_builds_a_config_or_exits_2(config_file, raw):
+    """A config file either builds a RunConfig holding exactly its values or
+    raises one of the two errors the CLI turns into exit 2, never another."""
+    config_file.write_text(json.dumps(raw))
+    try:
+        config = load_run_config(str(config_file), {})
+    except (ConfigError, ParseError):
+        return
+    for key, value in raw.items():
+        if value is not None:
+            assert getattr(config, key) == value and type(getattr(config, key)) is type(value)
+
+
+BAD_BYTE = b"date,a\n0,1\xff\n1,2\n"
+LONG_CELL = b"date,a\n0," + b"1" * 131073 + b"\n1,2\n"  # over csv's field size limit
+ROUTING = ["inspect", "routing", "--checkpoint", "run/checkpoint",
+           "--dataset", "data/synthetic.csv", "--labels", "bad.labels.csv"]
+
+
+@pytest.mark.parametrize("name, data, argv", [
+    ("bad.csv", BAD_BYTE, ["train", "--dataset", "bad.csv"]),
+    ("bad.csv", LONG_CELL, ["train", "--dataset", "bad.csv"]),
+    ("bad.labels.csv", BAD_BYTE, ROUTING),
+    ("bad.labels.csv", LONG_CELL, ROUTING),
+    ("bad.json", b'{"seed": "\xff"}',
+     ["train", "--config", "bad.json", "--dataset", "data/synthetic.csv"]),
+    ("bad.json", b"[" * 100000 + b"]" * 100000,
+     ["train", "--config", "bad.json", "--dataset", "data/synthetic.csv"]),
+    ("run/checkpoint/manifest.json", b'{"format": 1\xff}',
+     ["eval", "--checkpoint", "run/checkpoint", "--dataset", "data/synthetic.csv"]),
+    ("run/checkpoint/manifest.json", b"[" * 100000 + b"]" * 100000,
+     ["eval", "--checkpoint", "run/checkpoint", "--dataset", "data/synthetic.csv"]),
+], ids=["dataset-bad-byte", "dataset-long-cell", "labels-bad-byte", "labels-long-cell",
+        "config-bad-byte", "config-too-deep", "manifest-bad-byte", "manifest-too-deep"])
+def test_undecodable_files_exit_2(name, data, argv, workspace, tmp_path, monkeypatch, capsys):
+    """Each file reader turns bytes it cannot decode, a CSV cell over the csv
+    module's size limit, and JSON nested past Python's recursion limit into
+    an error line naming the file."""
+    shutil.copytree(workspace["root"] / "data", tmp_path / "data")
+    shutil.copytree(workspace["train_out"] / "checkpoint", tmp_path / "run" / "checkpoint")
+    (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+
+
+def test_explicit_labels_file_must_exist(workspace, tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["inspect", "routing", "--checkpoint", str(workspace["train_out"] / "checkpoint"),
+                 "--dataset", str(workspace["csv"]), "--labels", str(missing),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"error: labels file {missing} does not exist" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

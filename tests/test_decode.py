@@ -1,0 +1,91 @@
+"""The one JSON-to-config decoder: its type rules, and a guard that it can
+read every field of every config it is used for."""
+
+import json
+from dataclasses import asdict, dataclass
+
+import pytest
+
+from disents.backbones import KINDS, BackboneConfig
+from disents.cli import RunConfig
+from disents.decode import decode
+from disents.errors import ConfigError
+from disents.gating import GateConfig
+from disents.lwa import LwaConfig
+from disents.pipeline import ModelConfig
+
+
+def test_decoder_reads_every_run_config_field():
+    assert decode(RunConfig, asdict(RunConfig()), "config key ") == RunConfig()
+
+
+@pytest.mark.parametrize("top_k", [None, 7])
+@pytest.mark.parametrize("kind", KINDS)
+def test_decoder_reads_every_model_config_field(kind, top_k):
+    config = ModelConfig(n_experts=3, backbone=BackboneConfig(kind, 12, 6, hidden=9,
+                                                              decomp_kernel=5),
+                         gate=GateConfig(embed_dim=8, heads=2), lwa=LwaConfig(top_k=top_k))
+    raw = json.loads(json.dumps(asdict(config)))  # as a manifest stores it
+    assert decode(ModelConfig, raw, "meta.config.") == config
+
+
+@dataclass(frozen=True)
+class Inner:
+    flag: bool
+    name: str = "a"
+
+
+@dataclass(frozen=True)
+class Outer:
+    count: int
+    rate: float
+    inner: Inner
+    sizes: list[int]
+    limit: int | None = None
+    weights: list[float] = None  # type: ignore[assignment]
+
+
+def outer(**changes):
+    raw = {"count": 2, "rate": 0.5, "inner": {"flag": True, "name": "b"}, "sizes": [1, 2],
+           "limit": None, "weights": None}
+    return {**raw, **changes}
+
+
+def test_values_pass_through_unchanged():
+    decoded = decode(Outer, outer(rate=3, limit=4, weights=[1, 2.5]), "x.")
+    assert decoded == Outer(2, 3, Inner(True, "b"), [1, 2], 4, [1, 2.5])
+    assert type(decoded.rate) is int  # a float field keeps the int it was given
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"count": True}, "x.count must be an integer, got True"),
+    ({"count": 2.0}, "x.count must be an integer, got 2.0"),
+    ({"rate": False}, "x.rate must be a finite number, got False"),
+    ({"rate": float("inf")}, "x.rate must be a finite number, got inf"),
+    ({"rate": 10 ** 400}, "x.rate must be a finite number, got 1000"),
+    ({"sizes": [1, "2"]}, "x.sizes must be a list of integers, got [1, '2']"),
+    ({"sizes": None}, "x.sizes must be a list of integers, got None"),
+    ({"limit": 1.5}, "x.limit must be an integer or null, got 1.5"),
+    ({"weights": [True]}, "x.weights must be a list of finite numbers or null, got [True]"),
+    ({"inner": [True]}, "x.inner must be an object, got [True]"),
+    ({"inner": {"flag": 1, "name": "b"}}, "x.inner.flag must be true or false, got 1"),
+    ({"inner": {"flag": True, "name": 3}}, "x.inner.name must be a string, got 3"),
+    ({"inner": {"flag": True}}, "x.inner.name is missing (malformed config)"),  # no default used
+    ({"inner": {"flag": True, "name": "b", "extra": 0}}, "x.inner.extra is unknown"),
+    ({"extra": 0, "zzz": 0}, "x.extra is unknown"),
+], ids=["int-bool", "int-float", "float-bool", "float-inf", "float-huge-int", "list-item",
+        "list-null", "optional-float", "null-default-list-item", "nested-not-object",
+        "nested-bool", "nested-str", "nested-missing", "nested-unknown", "unknown"])
+def test_each_rule_names_the_key(changes, message):
+    with pytest.raises(ConfigError) as err:
+        decode(Outer, outer(**changes), "x.")
+    assert str(err.value).startswith(message)
+
+
+def test_an_unreadable_annotation_fails_loudly():
+    @dataclass
+    class Mapping:
+        table: dict[str, int]
+
+    with pytest.raises(TypeError, match="cannot read the annotation"):
+        decode(Mapping, {"table": {}}, "x.")
