@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,11 +74,12 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
 
 
 def _read_rows(path: str | Path) -> list[list[str]]:
-    """The non-empty rows of a CSV file. Bytes that do not decode, or a row
-    the csv module rejects (a cell over its field size limit), raise
-    ParseError naming the file."""
+    """The non-empty rows of a CSV file, read as UTF-8 with a byte order mark
+    dropped if present. Bytes that do not decode, or a row the csv module
+    rejects (a cell over its field size limit), raise ParseError naming the
+    file."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return [r for r in csv.reader(fh) if r]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path} cannot be read as CSV: {exc}") from exc
@@ -102,6 +104,9 @@ def load_csv(path: str | Path) -> SeriesDataset:
     names = [h.strip() for h in header[start:]]
     if not names:
         raise ParseError(f"{path} has no channel columns")
+    repeated = [name for name, count in Counter(names).items() if count > 1]
+    if repeated:
+        raise ParseError(f"{path} repeats channel names: {', '.join(map(repr, repeated))}")
     width = len(header)
     values = np.empty((len(data), len(names)))
     for i, row in enumerate(data):
@@ -192,7 +197,8 @@ def sliding_windows(split: np.ndarray, lookback: int, horizon: int,
     """All (input, target) windows of a split, channels-first.
 
     Returns X [N, C, lookback] and Y [N, C, horizon] with
-    N = (T - lookback - horizon) // stride + 1."""
+    N = (T - lookback - horizon) // stride + 1, as read-only views of the
+    split: the windows overlap, so they take no memory of their own."""
     split = np.asarray(split, dtype=np.float64)
     if split.ndim != 2:
         raise ShapeError(f"split must be [time, channels], got shape {split.shape}")
@@ -200,9 +206,7 @@ def sliding_windows(split: np.ndarray, lookback: int, horizon: int,
     if total < lookback + horizon:
         raise ConfigError(f"split of {total} rows cannot fit lookback+horizon={lookback + horizon}")
     windows = sliding_window_view(split, lookback + horizon, axis=0)[::stride]  # [N, C, L + H]
-    # C-contiguous copies: the per-window mean and std of a strided view differ in the last bits
-    return (np.ascontiguousarray(windows[:, :, :lookback]),
-            np.ascontiguousarray(windows[:, :, lookback:]))
+    return windows[:, :, :lookback], windows[:, :, lookback:]
 
 
 @dataclass

@@ -5,9 +5,10 @@ elementwise arithmetic, 2-d matmul, shape ops, reductions, softmax, layer
 norm, dropout, plus the SVD pseudo-inverse (a deliberate gradient barrier)
 and the Adam update. Ops executed inside a `recording()` block append one
 entry to the active DiffRecord; `backward(loss)` replays that tape exactly
-once, in reverse execution order, and leaves gradients on every
-participating tensor that requires them. Elementwise ops and matmul compute
-no adjoint for an input that takes no gradient.
+once, in reverse execution order, leaves gradients on every participating
+tensor that requires them, and then drops the tape's entries, so a step's
+activations are freed as soon as nothing else holds them. Elementwise ops
+and matmul compute no adjoint for an input that takes no gradient.
 
 All data is float64 and row-major. The tape is thread-local, so concurrent
 evaluation threads that never open a recording stay independent.
@@ -107,13 +108,31 @@ class _TapeEntry:
 
 
 class DiffRecord:
-    """Execution tape: ops appended in order, adjoints replayed in reverse."""
+    """Execution tape: ops appended in order, adjoints replayed in reverse.
+
+    Each recorded output points back at its record, and the record holds the
+    output, so the tape is a reference cycle until `backward` replays it and
+    drops the entries. `len` keeps counting the ops recorded."""
 
     def __init__(self):
-        self._entries: list[_TapeEntry] = []
+        self._entries: list[_TapeEntry] | None = []
+        self._replayed = 0  # the number of entries backward dropped
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._replayed if self._entries is None else len(self._entries)
+
+    def _append(self, entry: _TapeEntry) -> None:
+        if self._entries is None:
+            raise ContractError("cannot record into a DiffRecord that backward already replayed")
+        self._entries.append(entry)
+
+    def _release(self) -> list[_TapeEntry]:
+        """The entries, handed out once for replay and then forgotten."""
+        if self._entries is None:
+            raise ContractError("this DiffRecord was already replayed by backward")
+        entries, self._entries = self._entries, None
+        self._replayed = len(entries)
+        return entries
 
 
 _LOCAL = threading.local()
@@ -168,8 +187,8 @@ def _record_op(out_data: Array, inputs: tuple[Tensor, ...], backward: Callable) 
     tracked = rec is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=tracked)
     if tracked:
+        rec._append(_TapeEntry(out, inputs, backward))
         out._record = rec
-        rec._entries.append(_TapeEntry(out, inputs, backward))
     return out
 
 
@@ -338,7 +357,9 @@ def gelu(t) -> Tensor:
     """Exact Gaussian-error-linear unit, x * Phi(x)."""
     t = _lift(t)
     x = t.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = erf(x * _INV_SQRT2)  # Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), finished in place
+    cdf += 1.0
+    cdf *= 0.5
     out = x * cdf
 
     def backward(g):
@@ -443,11 +464,12 @@ def layer_norm(t, gain, bias, eps: float = 1e-5) -> Tensor:
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}")
     mu = t.data.mean(axis=-1, keepdims=True)
-    centered = t.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = t.data - mu  # centred here, scaled in place below
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gain.data + bias.data
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
@@ -482,14 +504,17 @@ def backward(loss: Tensor) -> None:
 
     Afterwards every requires_grad tensor that participated in the tape has
     `.grad` set; tensors the loss does not reach get an all-zero gradient.
+    The record is spent: a second backward, or a further op recorded into
+    it, raises ContractError.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ContractError("backward needs a scalar loss tensor")
     rec = loss._record
     if rec is None:
         raise ContractError("loss does not participate in any DiffRecord")
+    entries = rec._release()
     acc: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    for entry in reversed(rec._entries):
+    for entry in reversed(entries):
         g_out = acc.get(id(entry.out))
         if g_out is None:
             continue
@@ -499,7 +524,7 @@ def backward(loss: Tensor) -> None:
             prev = acc.get(id(t))
             acc[id(t)] = np.asarray(g, dtype=np.float64) if prev is None else prev + g
     seen: set[int] = set()
-    for entry in rec._entries:
+    for entry in entries:
         for t in (entry.out, *entry.inputs):
             key = id(t)
             if key in seen or not t.requires_grad:

@@ -49,13 +49,19 @@ class Stationarizer:
     eps_norm: float = 1e-5
 
     def normalize(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """[B, C, L] -> normalized array plus mu, sigma buffers of [B, C, 1]."""
+        """[B, C, L] -> normalized array plus mu, sigma buffers of [B, C, 1].
+
+        Reduces over a C-contiguous copy of `x`: the mean and std of a
+        strided window view differ from those of its copy in the last bits."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3:
             raise ShapeError(f"expected [batch, channels, lookback], got shape {x.shape}")
+        x = np.ascontiguousarray(x)
         mu = x.mean(axis=2, keepdims=True)
         sigma = x.std(axis=2, keepdims=True)  # population
-        return (x - mu) / (sigma + self.eps_norm), mu, sigma
+        xn = x - mu
+        xn /= sigma + self.eps_norm
+        return xn, mu, sigma
 
     def denormalize(self, y: Tensor, mu: np.ndarray, sigma: np.ndarray) -> Tensor:
         """Exact inverse of normalize on the horizon side, gradient-transparent."""

@@ -4,7 +4,7 @@ sliding windows, the grouped synthetic generator, and routing purity."""
 import numpy as np
 import pytest
 
-from disents.datakit import (GroupSpec, SeriesDataset, WindowSpec, default_four_group,
+from disents.datakit import (GroupSpec, SeriesDataset, WindowedData, WindowSpec, default_four_group,
                              default_two_group, labels_sidecar_path, load_csv,
                              load_labels, make_windows, routing_purity, save_csv,
                              sliding_windows, split_standardize, synth_generate)
@@ -73,6 +73,26 @@ def test_load_csv_errors(tmp_path):
     ragged.write_text("date,a,b\n0,1,2\n1,3\n")
     with pytest.raises(ParseError, match="row 2 has 2 cells"):
         load_csv(ragged)
+
+
+def test_load_csv_rejects_repeated_channel_names(tmp_path):
+    p = tmp_path / "dup.csv"
+    p.write_text("date,a,b,a\n0,1,2,3\n1,4,5,6\n")
+    with pytest.raises(ParseError, match="repeats channel names: 'a'"):
+        load_csv(p)
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    # save_csv writes integer timestamps, so a BOM'd "date" header would
+    # otherwise pass as a channel holding the row index
+    data = tmp_path / "bom.csv"
+    data.write_bytes(b"\xef\xbb\xbfdate,a,b\n0,1.0,2.0\n1,3.0,4.0\n")
+    ds = load_csv(data)
+    assert ds.channel_names == ["a", "b"]
+    assert np.array_equal(ds.values, [[1.0, 2.0], [3.0, 4.0]])
+    labels = tmp_path / "bom.labels.csv"
+    labels.write_bytes(b"\xef\xbb\xbfchannel,group\na,0\nb,1\n")
+    assert load_labels(labels) == {"a": 0, "b": 1}
 
 
 def test_save_load_round_trip_is_exact(tmp_path):
@@ -145,6 +165,26 @@ def test_make_windows_shapes():
     assert data.train_x.shape == ((280 - 36) // 3 + 1, 4, 24)
     assert data.train_y.shape[2] == 12
     assert data.test_x.shape[0] == (80 - 36) // 3 + 1
+
+
+def test_windows_are_read_only_views_of_the_split():
+    ds = synth_generate(default_two_group(), length=400, channels_per_group=2, seed=4)
+    spec = WindowSpec(lookback=24, horizon=12)
+    splits = split_standardize(ds, spec)
+    data = make_windows(splits, spec)
+    for part in ("train", "val", "test"):
+        split = getattr(splits, part)
+        for arr in (getattr(data, f"{part}_x"), getattr(data, f"{part}_y")):
+            assert not arr.flags.writeable
+            assert np.shares_memory(arr, split)
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 0.0
+    # six positional arrays in, only those six arrays in vars()
+    fields = ["train_x", "train_y", "val_x", "val_y", "test_x", "test_y"]
+    assert list(vars(data)) == fields
+    assert all(isinstance(a, np.ndarray) for a in vars(data).values())
+    again = WindowedData(*vars(data).values())
+    assert all(getattr(again, f) is getattr(data, f) for f in fields)
 
 
 def test_group_spec_validation():

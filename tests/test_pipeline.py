@@ -12,7 +12,8 @@ import pytest
 import disents.numcore as nc
 from disents import gating
 from disents.backbones import Backbone, BackboneConfig, forecast_batch
-from disents.datakit import WindowedData
+from disents.datakit import (WindowedData, WindowSpec, default_two_group, make_windows,
+                             split_standardize, synth_generate)
 from disents.checkpoint import load_model, save_model
 from disents.errors import ConfigError, ContractError, NumericError, ShapeError
 from disents.gating import GateConfig, route
@@ -556,3 +557,30 @@ def test_recorded_eval_forward_still_trains_the_signature_mlp():
         backward(mse_loss(fwd.y_hat, nc.constant(data.test_y)))
     grad = model.gate.params["sig_w1"].grad
     assert grad is not None and np.abs(grad).max() > 0
+
+
+def test_window_views_give_the_bits_of_contiguous_copies(monkeypatch):
+    """Windows are strided views of their split; every model output on them
+    equals the output on C-contiguous copies, bit for bit."""
+    ds = synth_generate(default_two_group(), length=1000, channels_per_group=2, seed=26)
+    spec = WindowSpec(lookback=48, horizon=24)
+    views = make_windows(split_standardize(ds, spec), spec)
+    assert not views.test_x.flags.c_contiguous
+    copies = WindowedData(*(np.ascontiguousarray(a) for a in vars(views).values()))
+    config = small_config(2, lookback=48, horizon=24)
+
+    def outputs(data):
+        model = DisenTSModel(config, seed=26)
+        opt = AdamState.for_params([t for _, t in model.named_parameters()], lr=1e-3)
+        report = train_step(model, data.train_x[5:21], data.train_y[5:21], opt, train_rng(26))
+        got = [np.array([report.l_fc, report.l_sc, report.total, *report.epsilons]),
+               *model.arrays().values(), model.predict(data.test_x),
+               mean_routing(model, data.val_x, batch_size=16)]
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DISENTS_THREADS", threads)
+            m = evaluate(model, data.test_x, data.test_y, batch_size=16)
+            got.append(np.array([m.mse, m.mae, *m.per_channel_mse]))
+        return got
+
+    for a, b in zip(outputs(views), outputs(copies), strict=True):
+        assert a.tobytes() == b.tobytes()
