@@ -95,7 +95,7 @@ class Backbone:
         return int(np.sum([t.size for t in self.params.values()]))
 
 
-def forecast_rows(backbone: Backbone, x: Tensor, training: bool = False) -> Tensor:
+def forecast_rows(backbone: Backbone, x: Tensor) -> Tensor:
     """Forecast a stack of independent channel rows, [rows, L] -> [rows, H]."""
     x = x if isinstance(x, Tensor) else nc.constant(x)
     cfg = backbone.config
@@ -114,12 +114,12 @@ def forecast_rows(backbone: Backbone, x: Tensor, training: bool = False) -> Tens
     return nc.matmul(hidden, p["w2"]) + p["b2"]
 
 
-def forecast_batch(backbone: Backbone, x: Tensor, training: bool = False) -> Tensor:
+def forecast_batch(backbone: Backbone, x: Tensor) -> Tensor:
     """Forecast a batch of multivariate windows, [B, C, L] -> [B, C, H]."""
     x = x if isinstance(x, Tensor) else nc.constant(x)
     if x.ndim != 3:
         raise ShapeError(f"expected a [batch, channels, lookback] tensor, got shape {x.shape}")
     b, c, _ = x.shape
     rows = nc.reshape(x, (b * c, x.shape[2]))
-    out = forecast_rows(backbone, rows, training)
+    out = forecast_rows(backbone, rows)
     return nc.reshape(out, (b, c, backbone.config.horizon))

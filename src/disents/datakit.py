@@ -57,7 +57,7 @@ class WindowSpec:
                 f"lookback, horizon, stride must be positive, got "
                 f"{self.lookback}, {self.horizon}, {self.stride}"
             )
-        if len(self.fractions) != 3 or any(f <= 0 for f in self.fractions):
+        if len(self.fractions) != 3 or not all(f > 0 for f in self.fractions):
             raise ConfigError(f"need three positive split fractions, got {self.fractions}")
         if abs(math.fsum(self.fractions) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {self.fractions}")
@@ -237,9 +237,9 @@ class GroupSpec:
     harmonic_decay: float = 0.85
 
     def __post_init__(self):
-        if self.period <= 0:
+        if not self.period > 0:
             raise ConfigError(f"period must be positive, got {self.period}")
-        if self.phase_jitter < 0:
+        if not self.phase_jitter >= 0:
             raise ConfigError(f"phase_jitter must be non-negative, got {self.phase_jitter}")
         if self.harmonics < 1:
             raise ConfigError(f"harmonics must be positive, got {self.harmonics}")

@@ -106,25 +106,23 @@ def embed_forecasters(signatures: np.ndarray, gate: GateParams) -> Tensor:
     return nc.matmul(hidden, p["sig_w2"]) + p["sig_b2"]
 
 
+def _heads(x: Tensor, heads: int) -> Tensor:
+    """[R, d] -> [heads, R, d / heads], each head a view with a column slice's strides."""
+    return nc.transpose(nc.reshape(x, (x.shape[0], heads, -1)), axes=(1, 0, 2))
+
+
 def attention_mix(queries: Tensor, keys: Tensor, gate: GateParams) -> Tensor:
-    """Multi-head cross-attention context, [R, d] x [K, d] -> [R, d]."""
+    """Multi-head cross-attention context, [R, d] x [K, d] -> [R, d], with
+    all heads attending as one stack."""
     p = gate.params
-    d = gate.config.embed_dim
     heads = gate.config.heads
-    width = d // heads
-    scale = 1.0 / np.sqrt(width)
-    q = nc.matmul(queries, p["attn_wq"])
-    k = nc.matmul(keys, p["attn_wk"])
-    v = nc.matmul(keys, p["attn_wv"])
-    mixed = []
-    for h in range(heads):
-        lo, hi = h * width, (h + 1) * width
-        qh = nc.slice_axis(q, 1, lo, hi)
-        kh = nc.slice_axis(k, 1, lo, hi)
-        vh = nc.slice_axis(v, 1, lo, hi)
-        scores = nc.multiply(nc.matmul(qh, nc.transpose(kh)), scale)
-        mixed.append(nc.matmul(nc.softmax(scores), vh))
-    return nc.matmul(nc.concat(mixed, axis=1), p["attn_wo"])
+    scale = 1.0 / np.sqrt(gate.config.embed_dim // heads)
+    q = _heads(nc.matmul(queries, p["attn_wq"]), heads)
+    k = _heads(nc.matmul(keys, p["attn_wk"]), heads)
+    v = _heads(nc.matmul(keys, p["attn_wv"]), heads)
+    scores = nc.multiply(nc.matmul(q, nc.transpose(k, axes=(0, 2, 1))), scale)
+    mixed = nc.transpose(nc.matmul(nc.softmax(scores), v), axes=(1, 0, 2))
+    return nc.matmul(nc.reshape(mixed, queries.shape), p["attn_wo"])
 
 
 def cross_attend(h_x: Tensor, h_f: Tensor, gate: GateParams,

@@ -34,7 +34,7 @@ class LwaConfig:
             raise ConfigError(f"top_k must be positive, got {self.top_k}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.rcond <= 0.0:
+        if not self.rcond > 0.0:
             raise ConfigError(f"rcond must be positive, got {self.rcond}")
 
 
@@ -126,7 +126,7 @@ def signature_error(x: np.ndarray, outputs: np.ndarray, w: np.ndarray) -> float:
 
 
 def approximation_error(backbone: Backbone, x: np.ndarray, w: np.ndarray) -> float:
-    """How faithfully W mirrors the backbone on the given rows (eval mode)."""
+    """How faithfully W mirrors the backbone on the given rows, computed off the tape."""
     with nc.no_recording():
-        pred = forecast_rows(backbone, nc.constant(x), training=False)
+        pred = forecast_rows(backbone, nc.constant(x))
     return signature_error(x, pred.data, w)

@@ -1,12 +1,13 @@
 """Float64 tensors with taped reverse-mode differentiation.
 
 Every differentiable operation used by the forecasting model lives here:
-elementwise arithmetic, 2-d matmul, shape ops, reductions, softmax, layer
-norm, dropout, plus the SVD pseudo-inverse (a deliberate gradient barrier)
-and the Adam update. Ops executed inside a `recording()` block append one
-entry to the active DiffRecord; `backward(loss)` replays that tape exactly
-once, in reverse execution order, leaves gradients on every participating
-tensor that requires them, and then drops the tape's entries, so a step's
+elementwise arithmetic, matmul of matrices or of equal stacks of them, shape
+ops, reductions, softmax, layer norm, dropout, plus the SVD pseudo-inverse (a
+deliberate gradient barrier) and the Adam update. Ops executed inside a
+`recording()` block append one entry to the active DiffRecord;
+`backward(loss)` replays that tape exactly once, in reverse execution order,
+freeing each entry as it goes, and leaves gradients on the tape's leaves
+(the tensors it reads but did not produce, such as parameters), so a step's
 activations are freed as soon as nothing else holds them. Elementwise ops
 and matmul compute no adjoint for an input that takes no gradient.
 
@@ -245,25 +246,27 @@ def negate(t) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """[m, n] @ [n, p], or equal stacks [..., m, n] @ [..., n, p] (no broadcasting)."""
     a, b = _lift(a), _lift(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects two matrices, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul expects two matrices or equal stacks, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
     out = a.data @ b.data
 
     def backward(g):
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
+        return (g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
+                np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None)
 
     return _record_op(out, (a, b), backward)
 
 
-def transpose(t) -> Tensor:
+def transpose(t, axes=(1, 0)) -> Tensor:
     t = _lift(t)
-    if t.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {t.shape}")
-    return _record_op(t.data.T, (t,), lambda g: (g.T,))
+    if sorted(axes) != list(range(t.ndim)):
+        raise ShapeError(f"transpose axes {axes} do not permute the axes of shape {t.shape}")
+    inverse = np.argsort(axes)
+    return _record_op(t.data.transpose(axes), (t,), lambda g: (g.transpose(inverse),))
 
 
 def reshape(t, shape) -> Tensor:
@@ -502,10 +505,12 @@ def dropout(t, rate: float, training: bool, rng: np.random.Generator | None = No
 def backward(loss: Tensor) -> None:
     """Replay the loss's tape once, reversed, accumulating adjoints.
 
-    Afterwards every requires_grad tensor that participated in the tape has
-    `.grad` set; tensors the loss does not reach get an all-zero gradient.
-    The record is spent: a second backward, or a further op recorded into
-    it, raises ContractError.
+    Afterwards every leaf of the tape (a requires_grad tensor that an entry
+    reads but that this record did not produce, such as a parameter) has
+    `.grad` set; leaves the loss does not reach get an all-zero gradient.
+    Op outputs get no `.grad`: each entry, and the adjoint of its output, is
+    freed as soon as the entry is replayed. The record is spent: a second
+    backward, or a further op recorded into it, raises ContractError.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ContractError("backward needs a scalar loss tensor")
@@ -514,8 +519,13 @@ def backward(loss: Tensor) -> None:
         raise ContractError("loss does not participate in any DiffRecord")
     entries = rec._release()
     acc: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    for entry in reversed(entries):
-        g_out = acc.get(id(entry.out))
+    leaves: dict[int, Tensor] = {}
+    while entries:
+        entry = entries.pop()
+        for t in entry.inputs:
+            if t.requires_grad and t._record is not rec:
+                leaves[id(t)] = t
+        g_out = acc.pop(id(entry.out), None)
         if g_out is None:
             continue
         for t, g in zip(entry.inputs, entry.backward(g_out)):
@@ -523,15 +533,9 @@ def backward(loss: Tensor) -> None:
                 continue
             prev = acc.get(id(t))
             acc[id(t)] = np.asarray(g, dtype=np.float64) if prev is None else prev + g
-    seen: set[int] = set()
-    for entry in entries:
-        for t in (entry.out, *entry.inputs):
-            key = id(t)
-            if key in seen or not t.requires_grad:
-                continue
-            seen.add(key)
-            g = acc.get(key)
-            t.grad = np.zeros_like(t.data) if g is None else np.asarray(g).reshape(t.data.shape)
+    for key, t in leaves.items():
+        g = acc.get(key)
+        t.grad = np.zeros_like(t.data) if g is None else np.asarray(g).reshape(t.data.shape)
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-4) -> float:

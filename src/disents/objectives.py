@@ -32,9 +32,9 @@ class LossConfig:
     normalize_sims: bool = True
 
     def __post_init__(self):
-        if self.sc_weight < 0.0:
+        if not self.sc_weight >= 0.0:
             raise ConfigError(f"sc_weight must be non-negative, got {self.sc_weight}")
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
 
 

@@ -81,7 +81,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.n_experts < 1:
             raise ConfigError(f"n_experts must be positive, got {self.n_experts}")
-        if self.eps_norm <= 0:
+        if not self.eps_norm > 0:
             raise ConfigError(f"eps_norm must be positive, got {self.eps_norm}")
 
 
@@ -99,7 +99,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError(f"epochs and batch_size must be positive, got {self.epochs}, {self.batch_size}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.patience < 0:
             raise ConfigError(f"patience must be non-negative, got {self.patience}")
@@ -220,7 +220,7 @@ def forward(model: DisenTSModel, x: np.ndarray, training: bool = False,
         fresh = training or nc._active_record() is not None
         embedded = None if fresh else model._signature_embedding()
         beta = route(x_norm, model.registry.gamma, model.gate, training, rng, embedded)
-    outputs = [forecast_batch(bb, x_norm, training) for bb in model.backbones]
+    outputs = [forecast_batch(bb, x_norm) for bb in model.backbones]
     mixed: Tensor | None = None
     for m, out in enumerate(outputs):
         term = nc.slice_axis(beta, 2, m, m + 1) * out

@@ -96,6 +96,10 @@ def _op_cases():
     p14 = rng.normal(size=(1, 4))
     p3 = rng.normal(size=3)
     p4 = rng.normal(size=4)
+    stack_left = rng.normal(size=(2, 3, 4))
+    stack_right = rng.normal(size=(2, 4, 5))
+    p235 = rng.normal(size=(2, 3, 5))
+    p324 = rng.normal(size=(3, 2, 4))
     c = nc.constant
     return [
         ("add", lambda t: _dot(nc.add(t, c(other)), p34), a),
@@ -107,6 +111,9 @@ def _op_cases():
         ("matmul lhs", lambda t: _dot(nc.matmul(t, c(m_right)), p35), a),
         ("matmul rhs", lambda t: _dot(nc.matmul(c(m_left), t), p54), a),
         ("transpose", lambda t: _dot(nc.transpose(t), p43), a),
+        ("stacked matmul lhs", lambda t: _dot(nc.matmul(t, c(stack_right)), p235), stack_left),
+        ("stacked matmul rhs", lambda t: _dot(nc.matmul(c(stack_left), t), p235), stack_right),
+        ("transpose axes", lambda t: _dot(nc.transpose(t, axes=(1, 0, 2)), p324), stack_left),
         ("reshape", lambda t: _dot(nc.reshape(t, (2, 6)), p26), a),
         ("concat axis1", lambda t: _dot(nc.concat([t, c(other)], axis=1), p38), a),
         ("concat axis0", lambda t: _dot(nc.concat([c(other), t], axis=0), p64), a),

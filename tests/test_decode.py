@@ -1,18 +1,22 @@
 """The one JSON-to-config decoder: its type rules, and a guard that it can
-read every field of every config it is used for."""
+read every field of every config it is used for. Also the range checks of the
+config constructors, which library callers reach without the decoder."""
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import pytest
 
 from disents.backbones import KINDS, BackboneConfig
 from disents.cli import RunConfig
+from disents.datakit import GroupSpec, WindowSpec
 from disents.decode import decode
 from disents.errors import ConfigError
 from disents.gating import GateConfig
 from disents.lwa import LwaConfig
-from disents.pipeline import ModelConfig
+from disents.objectives import LossConfig
+from disents.pipeline import ModelConfig, TrainConfig
 
 
 def test_decoder_reads_every_run_config_field():
@@ -89,3 +93,21 @@ def test_an_unreadable_annotation_fails_loudly():
 
     with pytest.raises(TypeError, match="cannot read the annotation"):
         decode(Mapping, {"table": {}}, "x.")
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WindowSpec(48, 24, fractions=(NAN, 0.5, 0.5)),
+    lambda: LwaConfig(rcond=NAN),
+    lambda: LossConfig(tau=NAN),
+    lambda: LossConfig(sc_weight=NAN),
+    lambda: TrainConfig(lr=NAN),
+    lambda: ModelConfig(n_experts=2, backbone=BackboneConfig("linear", 8, 4), eps_norm=NAN),
+    lambda: GroupSpec(period=NAN),
+    lambda: GroupSpec(24.0, phase_jitter=NAN),
+], ids=["fractions", "rcond", "tau", "sc_weight", "lr", "eps_norm", "period", "phase_jitter"])
+def test_range_checks_reject_nan(build):
+    with pytest.raises(ConfigError):
+        build()

@@ -57,6 +57,25 @@ def test_single_key_attention_gives_identical_context_rows():
     assert np.abs(ctx - ctx[0]).max() <= 1e-12  # softmax over one key is exactly 1
 
 
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_mix_equals_a_per_head_loop_bit_for_bit(heads):
+    """The stacked heads give exactly the numbers of one head at a time."""
+    gate = make_gate(k=3, dim=8, heads=heads, seed=21)
+    rng = np.random.default_rng(22)
+    queries, keys = rng.normal(size=(10, 8)), rng.normal(size=(3, 8))
+    p = {name: t.data for name, t in gate.params.items()}
+    q, k, v = queries @ p["attn_wq"], keys @ p["attn_wk"], keys @ p["attn_wv"]
+    width = 8 // heads
+    mixed = []
+    for h in range(heads):
+        sl = slice(h * width, (h + 1) * width)
+        scores = q[:, sl] @ k[:, sl].T * (1.0 / np.sqrt(width))
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        mixed.append(e / e.sum(axis=-1, keepdims=True) @ v[:, sl])
+    expected = np.concatenate(mixed, axis=1) @ p["attn_wo"]
+    assert np.array_equal(attention_mix(Tensor(queries), Tensor(keys), gate).data, expected)
+
+
 def test_zero_output_head_gives_uniform_routing():
     gate = make_gate(k=4)
     gate.params["w_out"].data = np.zeros((8, 4))

@@ -14,7 +14,8 @@ from disents.errors import ContractError, NumericError, ShapeError
 from disents.backbones import BackboneConfig
 from disents.numcore import (ADAM_BLOCK, AdamState, Tensor, adam_step, backward, grad_check, pinv,
                              recording)
-from disents.pipeline import DisenTSModel, ModelConfig, train_rng, train_step
+from disents.objectives import mse_loss
+from disents.pipeline import DisenTSModel, ModelConfig, forward, train_rng, train_step
 
 
 def rand(shape, seed):
@@ -47,6 +48,31 @@ def test_matmul_example_and_errors():
     assert "(2, 3)" in str(err.value)
     with pytest.raises(ShapeError):
         nc.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 1))))
+
+
+def test_stacked_matmul_and_permuting_transpose_values():
+    a, b = rand((3, 4, 2), 30), rand((3, 2, 5), 31)
+    out = nc.matmul(Tensor(a), Tensor(b)).data
+    assert all(same_bits(out[i], a[i] @ b[i]) for i in range(3))
+    assert same_bits(nc.transpose(Tensor(a), axes=(2, 0, 1)).data, a.transpose(2, 0, 1))
+
+
+@pytest.mark.parametrize("op, args", [
+    (nc.matmul, (np.ones((2, 3)), np.ones(3))),
+    (nc.matmul, (np.ones((2, 3, 4)), np.ones((3, 4, 5)))),
+    (nc.matmul, (np.ones((3, 4)), np.ones((2, 4, 5)))),
+    (nc.matmul, (np.ones((2, 3, 4)), np.ones((4, 5)))),
+    (nc.matmul, (np.ones((2, 3, 4)), np.ones((2, 3, 5)))),
+    (nc.transpose, (np.ones((2, 3, 4)), (0, 0, 1))),
+    (nc.transpose, (np.ones((2, 3, 4)), (0, 1))),
+    (nc.transpose, (np.ones((2, 3, 4)), (1, 2, 3))),
+    (nc.transpose, (np.ones((2, 3, 4)),)),
+], ids=["matmul-1d-rhs", "matmul-unequal-stacks", "matmul-2d-by-3d",
+        "matmul-3d-by-2d", "matmul-inner-dims", "transpose-repeated-axis", "transpose-too-few-axes",
+        "transpose-out-of-range", "transpose-3d-default-axes"])
+def test_stacked_matmul_and_transpose_shape_errors(op, args):
+    with pytest.raises(ShapeError):
+        op(*(Tensor(x) if isinstance(x, np.ndarray) else x for x in args))
 
 
 def test_softmax_values():
@@ -210,6 +236,9 @@ OPS = {
     "matmul_left": lambda t: nc.matmul(t, rand((4, 3), 95)),
     "matmul_right": lambda t: nc.matmul(rand((5, 3), 96), nc.reshape(t, (3, 4))),
     "transpose": lambda t: nc.matmul(nc.transpose(t), rand((3, 2), 97)),
+    "matmul_stack_left": lambda t: nc.matmul(nc.reshape(t, (2, 3, 2)), rand((2, 2, 5), 100)),
+    "matmul_stack_right": lambda t: nc.matmul(rand((2, 3, 2), 101), nc.reshape(t, (2, 2, 3))),
+    "transpose_axes": lambda t: nc.transpose(nc.reshape(t, (2, 3, 2)), axes=(1, 0, 2)),
     "reshape": lambda t: nc.reshape(t, (4, 3)),
     "concat": lambda t: nc.concat([t, nc.multiply(t, 2.0)], axis=0),
     "slice": lambda t: nc.slice_axis(t, 1, 1, 3),
@@ -528,3 +557,22 @@ def test_train_steps_leave_no_tape_behind():
         tracemalloc.stop()
         gc.enable()
     assert later - warm <= 2 << 20, f"{(later - warm) / 2**20:.1f} MiB left behind by 18 steps"
+
+
+def test_backward_leaves_grad_on_leaves_only():
+    """Op outputs of the replayed record hold no `.grad`; leaves, and only
+    they, do: the reached ones their adjoint, an unreached one zeros."""
+    model = DisenTSModel(ModelConfig(n_experts=2, backbone=BackboneConfig("linear", 8, 4)),
+                         seed=0)
+    rng = np.random.default_rng(1)
+    x, y = rng.normal(size=(4, 3, 8)), rng.normal(size=(4, 3, 4))
+    stray = nc.parameter(rng.normal(size=3))
+    with recording():
+        fwd = forward(model, x, training=True, rng=train_rng(0))
+        _ = nc.multiply(stray, 2.0)  # recorded, never reaches the loss
+        loss = mse_loss(fwd.y_hat, nc.constant(y))
+        backward(loss)
+    outputs = [loss, fwd.y_hat, fwd.y_hat_norm, fwd.beta, *fwd.expert_outputs]
+    assert all(t.requires_grad and t.grad is None for t in outputs)
+    assert all(p.grad is not None for _, p in model.named_parameters())
+    assert np.array_equal(stray.grad, np.zeros(3))

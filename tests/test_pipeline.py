@@ -391,7 +391,7 @@ def test_single_expert_run_pairs_with_unified_baseline():
         report = train_step(model, x, y, opt, rng)
         with recording():
             xn, mu, sigma = st.normalize(x)
-            out = forecast_batch(backbone, nc.constant(xn), training=True)
+            out = forecast_batch(backbone, nc.constant(xn))
             l_fc = mse_loss(st.denormalize(out, mu, sigma), nc.constant(y))
             backward(l_fc)
         adam_step(plain, [p.grad for p in plain], plain_opt)
