@@ -32,12 +32,12 @@ class BackboneConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown backbone kind {self.kind!r}, expected one of {KINDS}")
-        if self.lookback < 1 or self.horizon < 1:
+        if not (self.lookback >= 1 and self.horizon >= 1):
             raise ConfigError(f"lookback and horizon must be positive, got {self.lookback}, {self.horizon}")
-        if self.kind == "mlp" and self.hidden < 1:
+        if self.kind == "mlp" and not self.hidden >= 1:
             raise ConfigError(f"mlp hidden width must be positive, got {self.hidden}")
         if self.kind == "decomp-linear":
-            if self.decomp_kernel < 1 or self.decomp_kernel % 2 == 0:
+            if not self.decomp_kernel >= 1 or self.decomp_kernel % 2 == 0:
                 raise ConfigError(f"decomp_kernel must be odd and positive, got {self.decomp_kernel}")
             if self.decomp_kernel > self.lookback:
                 raise ConfigError(

@@ -22,6 +22,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, ContractError, ParseError, ShapeError
 
 STD_FLOOR = 1e-8  # constant channels standardize to zeros instead of dividing by zero
+# Characters that keep a file off the vectorized parse: a quote or a carriage
+# return changes how the csv module splits rows and cells, and loadtxt reads
+# the ASCII separators \x1c-\x1f as whitespace around a number where float()
+# refuses them.
+_NOT_PLAIN = '"\r\x1c\x1d\x1e\x1f'
 
 
 @dataclass
@@ -52,7 +57,7 @@ class WindowSpec:
     fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
 
     def __post_init__(self):
-        if self.lookback < 1 or self.horizon < 1 or self.stride < 1:
+        if not (self.lookback >= 1 and self.horizon >= 1 and self.stride >= 1):
             raise ConfigError(
                 f"lookback, horizon, stride must be positive, got "
                 f"{self.lookback}, {self.horizon}, {self.stride}"
@@ -85,28 +90,75 @@ def _read_rows(path: str | Path) -> list[list[str]]:
         raise ParseError(f"{path} cannot be read as CSV: {exc}") from exc
 
 
-def load_csv(path: str | Path) -> SeriesDataset:
-    """Read a dataset; a leading 'date' column (or unparseable first cells)
-    is treated as timestamps and dropped. Rows and columns in error messages
-    are 1-based, rows counted over data lines only."""
-    path = Path(path)
-    rows = _read_rows(path)
-    if len(rows) < 3:  # header plus at least two observations
-        raise ParseError(f"{path} holds fewer than two data rows")
-    header, data = rows[0], rows[1:]
+def _reject_repeats(path: str | Path, names: list[str]) -> None:
+    repeated = [name for name, count in Counter(names).items() if count > 1]
+    if repeated:
+        raise ParseError(f"{path} repeats channel names: {', '.join(map(repr, repeated))}")
+
+
+def _channel_columns(path: Path, header: list[str], first_cell: str) -> tuple[int, list[str]]:
+    """The index of the first channel column and the channel names. A
+    leading 'date' header, or a first data cell that is not a number, marks
+    column 0 as timestamps."""
     has_time = header[0].strip().lower() == "date"
     if not has_time:
         try:
-            float(data[0][0])
+            float(first_cell)
         except ValueError:
             has_time = True
     start = 1 if has_time else 0
     names = [h.strip() for h in header[start:]]
     if not names:
         raise ParseError(f"{path} has no channel columns")
-    repeated = [name for name, count in Counter(names).items() if count > 1]
-    if repeated:
-        raise ParseError(f"{path} repeats channel names: {', '.join(map(repr, repeated))}")
+    _reject_repeats(path, names)
+    return start, names
+
+
+def _load_plain(path: Path) -> SeriesDataset | None:
+    """The dataset read by one vectorized parse, or None when the file is not
+    plain enough for that parse to match the cell-by-cell reader exactly.
+
+    Plain means: it decodes; it holds none of `_NOT_PLAIN`, so each
+    newline-separated line is one csv row split at every comma; no line
+    reaches the csv field size limit; there are a header and two data lines;
+    every line has the header's comma count; and every channel cell parses
+    to a finite number. Anything else, including cells that float() reads
+    but loadtxt does not ('1_0', non-ASCII digits), goes to the cell-by-cell
+    reader, which gives the value or the ParseError."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if any(char in text for char in _NOT_PLAIN):
+        return None
+    lines = [line for line in text.split("\n") if line]
+    if len(lines) < 3 or max(map(len, lines)) >= csv.field_size_limit():
+        return None
+    commas = lines[0].count(",")
+    if any(line.count(",") != commas for line in lines):
+        return None
+    start, names = _channel_columns(path, lines[0].split(","), lines[1].split(",", 1)[0])
+    try:
+        values = np.loadtxt(lines[1:], delimiter=",", comments=None,
+                            usecols=range(start, commas + 1), ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    # loadtxt skips whitespace-only lines that the csv module keeps as rows
+    if values.shape != (len(lines) - 1, len(names)) or not np.isfinite(values).all():
+        return None
+    return SeriesDataset(values=values, channel_names=names)
+
+
+def _load_cells(path: Path) -> SeriesDataset:
+    """The dataset read cell by cell with the csv module and float(): the
+    reader for every file `_load_plain` turns down, and the one that words
+    every ParseError."""
+    rows = _read_rows(path)
+    if len(rows) < 3:  # header plus at least two observations
+        raise ParseError(f"{path} holds fewer than two data rows")
+    header, data = rows[0], rows[1:]
+    start, names = _channel_columns(path, header, data[0][0])
     width = len(header)
     values = np.empty((len(data), len(names)))
     for i, row in enumerate(data):
@@ -115,6 +167,18 @@ def load_csv(path: str | Path) -> SeriesDataset:
         for j, cell in enumerate(row[start:]):
             values[i, j] = _parse_cell(cell, i + 1, start + j + 1)
     return SeriesDataset(values=values, channel_names=names)
+
+
+def load_csv(path: str | Path) -> SeriesDataset:
+    """Read a dataset; a leading 'date' column (or unparseable first cells)
+    is treated as timestamps and dropped. Rows and columns in error messages
+    are 1-based, rows counted over data lines only.
+
+    A plain file is parsed in one vectorized pass; every other file is read
+    cell by cell, with the same values, names and errors."""
+    path = Path(path)
+    dataset = _load_plain(path)
+    return dataset if dataset is not None else _load_cells(path)
 
 
 def labels_sidecar_path(csv_path: str | Path) -> Path:
@@ -141,8 +205,10 @@ def save_csv(dataset: SeriesDataset, path: str | Path) -> Path:
 
 
 def load_labels(path: str | Path) -> dict[str, int]:
+    """Read a labels sidecar: the header `channel,group`, then one row per
+    channel naming its integer group. A channel listed twice is an error."""
     rows = _read_rows(path)
-    if not rows or rows[0][:2] != ["channel", "group"]:
+    if not rows or rows[0] != ["channel", "group"]:
         raise ParseError(f"{path} is not a labels sidecar")
     out: dict[str, int] = {}
     for i, row in enumerate(rows[1:]):
@@ -152,6 +218,7 @@ def load_labels(path: str | Path) -> dict[str, int]:
             out[row[0]] = int(row[1])
         except ValueError:
             raise ParseError(f"malformed group {row[1]!r} at labels row {i + 1}") from None
+    _reject_repeats(path, [row[0] for row in rows[1:]])
     return out
 
 
@@ -241,8 +308,13 @@ class GroupSpec:
             raise ConfigError(f"period must be positive, got {self.period}")
         if not self.phase_jitter >= 0:
             raise ConfigError(f"phase_jitter must be non-negative, got {self.phase_jitter}")
-        if self.harmonics < 1:
+        if not self.harmonics >= 1:
             raise ConfigError(f"harmonics must be positive, got {self.harmonics}")
+        if not all(math.isfinite(x) for x in (self.amplitude, self.trend, self.sign)):
+            raise ConfigError(
+                f"amplitude, trend and sign must be finite, got "
+                f"{self.amplitude}, {self.trend}, {self.sign}"
+            )
         if not 0.0 < self.harmonic_decay <= 1.0:
             raise ConfigError(f"harmonic_decay must be in (0, 1], got {self.harmonic_decay}")
 

@@ -28,7 +28,7 @@ class GateConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.embed_dim < 1 or self.heads < 1:
+        if not (self.embed_dim >= 1 and self.heads >= 1):
             raise ConfigError(f"embed_dim and heads must be positive, got {self.embed_dim}, {self.heads}")
         if self.embed_dim % self.heads != 0:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")

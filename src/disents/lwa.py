@@ -30,7 +30,7 @@ class LwaConfig:
     rcond: float = 1e-6
 
     def __post_init__(self):
-        if self.top_k is not None and self.top_k < 1:
+        if self.top_k is not None and not self.top_k >= 1:
             raise ConfigError(f"top_k must be positive, got {self.top_k}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")

@@ -79,7 +79,7 @@ class ModelConfig:
     eps_norm: float = 1e-5
 
     def __post_init__(self):
-        if self.n_experts < 1:
+        if not self.n_experts >= 1:
             raise ConfigError(f"n_experts must be positive, got {self.n_experts}")
         if not self.eps_norm > 0:
             raise ConfigError(f"eps_norm must be positive, got {self.eps_norm}")
@@ -97,11 +97,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
+        if not (self.epochs >= 1 and self.batch_size >= 1):
             raise ConfigError(f"epochs and batch_size must be positive, got {self.epochs}, {self.batch_size}")
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.patience < 0:
+        if not self.patience >= 0:
             raise ConfigError(f"patience must be non-negative, got {self.patience}")
 
 

@@ -1,13 +1,20 @@
-"""CSV round trips, chronological splitting with train-only statistics,
-sliding windows, the grouped synthetic generator, and routing purity."""
+"""CSV round trips, the vectorized CSV read against the cell-by-cell one,
+chronological splitting with train-only statistics, sliding windows, the
+grouped synthetic generator, and routing purity."""
+
+import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from disents.datakit import (GroupSpec, SeriesDataset, WindowedData, WindowSpec, default_four_group,
-                             default_two_group, labels_sidecar_path, load_csv,
-                             load_labels, make_windows, routing_purity, save_csv,
-                             sliding_windows, split_standardize, synth_generate)
+from disents.datakit import (GroupSpec, SeriesDataset, WindowedData, WindowSpec, _load_cells,
+                             _load_plain, default_four_group, default_two_group,
+                             labels_sidecar_path, load_csv, load_labels, make_windows,
+                             routing_purity, save_csv, sliding_windows, split_standardize,
+                             synth_generate)
 from disents.errors import ConfigError, ContractError, ParseError, ShapeError
 
 
@@ -115,6 +122,176 @@ def test_labels_sidecar_round_trip(tmp_path):
     assert labels == {"g0c0": 0, "g0c1": 0, "g1c0": 1, "g1c1": 1}
     with pytest.raises(ParseError):
         load_labels(path)  # the data file is not a sidecar
+
+
+def test_load_labels_rejects_repeated_channels(tmp_path):
+    p = tmp_path / "dup.labels.csv"
+    p.write_text("channel,group\na,0\nb,1\na,1\n")
+    with pytest.raises(ParseError, match="repeats channel names: 'a'"):
+        load_labels(p)
+
+
+def test_load_labels_needs_exactly_the_sidecar_header(tmp_path):
+    p = tmp_path / "extra.labels.csv"
+    p.write_text("channel,group,extra\na,0\n")
+    with pytest.raises(ParseError, match="is not a labels sidecar"):
+        load_labels(p)
+
+
+def test_a_benchmark_shaped_file_takes_the_vectorized_read(tmp_path):
+    p = tmp_path / "plain.csv"
+    p.write_text("date,a,b\n2020-01-01 00:00,1.5, -2e-3\n\n#x,\t3 ,4\n")
+    ds = _load_plain(p)
+    assert ds is not None and ds.channel_names == ["a", "b"]
+    assert np.array_equal(ds.values, [[1.5, -2e-3], [3.0, 4.0]])
+
+
+# One file per condition the vectorized read checks before it answers. Each
+# one it turns down must load, or fail, exactly as the cell-by-cell read does.
+GUARDED = [
+    ("quoted cell", b'date,a\n0,"1.5"\n1,2\n', ["a"], [[1.5], [2.0]]),
+    ("quoted comma", b'date,"a,b"\n0,1\n1,2\n', ["a,b"], [[1.0], [2.0]]),
+    ("crlf", b"date,a\r\n0,1\r\n1,2\r\n", ["a"], [[1.0], [2.0]]),
+    ("underscore", b"date,a\n0,1_0\n1,2\n", ["a"], [[10.0], [2.0]]),
+    ("arabic-indic", "date,a\n0,١٢\n1,2\n".encode(), ["a"], [[12.0], [2.0]]),
+    ("undecodable", b"date,a\n0,1\xff\n1,2\n", None, "cannot be read as CSV"),
+    ("field limit", b"date,a\n0," + b"1" * 131073 + b"\n1,2\n", None, "cannot be read as CSV"),
+    ("two lines", b"date,a\n0,1\n", None, "fewer than two data rows"),
+    ("ragged", b"date,a,b\n0,1,2\n1,3\n", None, "row 2 has 2 cells, expected 3"),
+    ("whitespace line", b"a\n1\n \n2\n", None, r"malformed cell ' ' at row 2, column 1"),
+    ("separator", b"date,a\n0,1\x1c\n1,2\n", None, r"malformed cell '1\\x1c' at row 1, column 2"),
+    ("comment", b"date,a\n0,1\n1,#2\n", None, r"malformed cell '#2' at row 2, column 2"),
+    ("overflow", b"date,a\n0,1\n1,1e309\n", None, r"non-finite cell '1e309' at row 2, column 2"),
+    ("nan", b"a,b\nnan,1\n1,2\n", None, r"non-finite cell 'nan' at row 1, column 1"),
+]
+
+
+@pytest.mark.parametrize("data, names, expected", [case[1:] for case in GUARDED],
+                         ids=[case[0] for case in GUARDED])
+def test_files_the_vectorized_read_turns_down_load_cell_by_cell(tmp_path, data, names, expected):
+    p = tmp_path / "guarded.csv"
+    p.write_bytes(data)
+    assert _load_plain(p) is None
+    if names is None:
+        with pytest.raises(ParseError, match=expected):
+            load_csv(p)
+    else:
+        ds = load_csv(p)
+        assert ds.channel_names == names
+        assert np.array_equal(ds.values, expected)
+
+
+@pytest.fixture(scope="module")
+def csv_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv-properties") / "table.csv"
+
+
+NAMES = st.lists(st.text(st.sampled_from('abcXYZ09 _-.,"#'), min_size=1, max_size=5)
+                 .filter(lambda name: name == name.strip()), min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def tables(draw):
+    """A dataset, and whether its CSV carries a leading date column."""
+    names = draw(NAMES)
+    values = draw(hnp.arrays(np.float64, (draw(st.integers(2, 6)), len(names)),
+                             elements=st.floats(allow_nan=False, allow_infinity=False)))
+    dated = draw(st.booleans()) or names[0].lower() == "date"
+    return SeriesDataset(values=values, channel_names=names), dated
+
+
+def write_table(path, dataset, dated):
+    if dated:
+        save_csv(dataset, path)
+        return
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(dataset.channel_names)
+        writer.writerows([[f"{v:.17g}" for v in row] for row in dataset.values])
+
+
+@settings(max_examples=200)
+@given(table=tables())
+def test_any_table_round_trips_bit_for_bit(csv_file, table):
+    dataset, dated = table
+    write_table(csv_file, dataset, dated)
+    back = load_csv(csv_file)
+    assert back.channel_names == dataset.channel_names
+    assert back.values.tobytes() == dataset.values.tobytes()  # -0.0 and subnormals too
+
+
+@settings(max_examples=200)
+@given(table=tables(), data=st.data())
+def test_one_corrupted_cell_is_named_by_row_and_column(csv_file, table, data):
+    dataset, dated = table
+    rows, channels = dataset.values.shape
+    row = data.draw(st.integers(0, rows - 1))
+    channel = data.draw(st.integers(0, channels - 1))
+    if not dated and (row, channel) == (0, 0):
+        row = 1  # a word in the very first cell would mark the column as timestamps
+    bad = data.draw(st.sampled_from(["oops", " ", "1.2.3", "0x10", "--1", "nan", "-inf", "1e999"]))
+    write_table(csv_file, dataset, dated)
+    lines = csv_file.read_text().split("\n")
+    cells = lines[row + 1].split(",")
+    column = channel + dated
+    cells[column] = bad
+    lines[row + 1] = ",".join(cells)
+    csv_file.write_text("\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        load_csv(csv_file)
+    assert str(err.value).endswith(f"{bad!r} at row {row + 1}, column {column + 1}")
+
+
+# Cells and lines chosen to trip every way the vectorized read could part
+# from the csv module and float(): whitespace float() strips and the ASCII
+# separators it does not, spellings only float() reads, non-finite numbers,
+# quotes, comment marks and commas.
+CELLS = ["1", "-2.5", "3e-4", " 4 ", "\t5", "6\x0c", "\xa07", "8\x85", " 9", "1_0", "١٢",
+         "nan", "inf", "-Infinity", "1e309", "0x1", "1d5", "", " ", "abc", "1.", ".5", "+1",
+         "1\x1c", "\x1f2", "1\x00", "#4", '"5"', '"6,7"', '"a""b"', '8"', "2020-01-01"]
+
+
+def rarely(draw, strategy, otherwise):
+    """A draw from `strategy` when an integer drawn from 0-7 is 0, else
+    `otherwise`: each oddity is seldom, so that many files stay plain enough
+    for the vectorized read to take them."""
+    return draw(strategy) if draw(st.integers(0, 7)) == 0 else otherwise
+
+
+@st.composite
+def adversarial_files(draw):
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(st.sampled_from(["date", " Date ", "ts", "a", "b", "c ", "", "#x", "1"]),
+                           min_size=width, max_size=width, unique=rarely(draw, st.just(False), True)))
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    cell = st.sampled_from(CELLS) if draw(st.booleans()) else number
+    rows = [[rarely(draw, cell, draw(number)) for _ in range(width)]
+            for _ in range(rarely(draw, st.integers(0, 1), draw(st.integers(2, 6))))]
+    lines = [",".join(header)] + [",".join(cells) for cells in rows]
+    at = draw(st.integers(1, len(lines)))
+    lines[at:at] = rarely(draw, st.sampled_from([[""], [" "], ["#"], ["#,#"], ["\x0c"]]), [])
+    if rows and rarely(draw, st.just(True), False):  # a ragged row
+        cells = draw(st.sampled_from(rows))
+        lines.append(",".join(cells[:-1] if draw(st.booleans()) else cells + ["1"]))
+    lines += rarely(draw, st.just(["0," + "1" * 131073]), [])  # over the csv field size limit
+    end = rarely(draw, st.just("\r\n"), "\n")
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return rarely(draw, st.just(b"\xef\xbb\xbf"), b"") + text.encode()
+
+
+def outcome(read, path):
+    try:
+        dataset = read(path)
+    except ParseError as err:
+        return str(err)
+    return dataset.channel_names, dataset.values.shape, dataset.values.tobytes()
+
+
+@settings(max_examples=400)
+@given(data=adversarial_files())
+def test_vectorized_read_equals_the_cell_by_cell_read(csv_file, data):
+    csv_file.write_bytes(data)
+    assert outcome(load_csv, csv_file) == outcome(_load_cells, csv_file)
 
 
 def test_split_standardize_uses_train_statistics_only():

@@ -111,3 +111,31 @@ NAN = math.nan
 def test_range_checks_reject_nan(build):
     with pytest.raises(ConfigError):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BackboneConfig("linear", NAN, 4), "lookback and horizon must be positive"),
+    (lambda: BackboneConfig("linear", 8, NAN), "lookback and horizon must be positive"),
+    (lambda: BackboneConfig("mlp", 8, 4, hidden=NAN), "mlp hidden width must be positive"),
+    (lambda: BackboneConfig("decomp-linear", 8, 4, decomp_kernel=NAN),
+     "decomp_kernel must be odd and positive"),
+    (lambda: WindowSpec(NAN, 24), "lookback, horizon, stride must be positive"),
+    (lambda: WindowSpec(48, 24, stride=NAN), "lookback, horizon, stride must be positive"),
+    (lambda: GroupSpec(24.0, harmonics=NAN), "harmonics must be positive"),
+    (lambda: GroupSpec(24.0, amplitude=NAN), "amplitude, trend and sign must be finite"),
+    (lambda: GroupSpec(24.0, trend=math.inf), "amplitude, trend and sign must be finite"),
+    (lambda: GroupSpec(24.0, sign=NAN), "amplitude, trend and sign must be finite"),
+    (lambda: TrainConfig(epochs=NAN), "epochs and batch_size must be positive"),
+    (lambda: TrainConfig(batch_size=NAN), "epochs and batch_size must be positive"),
+    (lambda: TrainConfig(patience=NAN), "patience must be non-negative"),
+    (lambda: LwaConfig(top_k=NAN), "top_k must be positive"),
+    (lambda: GateConfig(embed_dim=NAN), "embed_dim and heads must be positive"),
+    (lambda: GateConfig(heads=NAN), "embed_dim and heads must be positive"),
+    (lambda: ModelConfig(n_experts=NAN, backbone=BackboneConfig("linear", 8, 4)),
+     "n_experts must be positive"),
+], ids=["lookback", "horizon", "hidden", "decomp_kernel", "window_lookback", "stride",
+        "harmonics", "amplitude", "trend", "sign", "epochs", "batch_size", "patience",
+        "top_k", "embed_dim", "heads", "n_experts"])
+def test_count_fields_and_group_shape_reject_nan(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
