@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
+from .decode import require_integers
 from .errors import ConfigError, ShapeError
 from .numcore import Tensor
 
@@ -43,6 +44,8 @@ class BackboneConfig:
                 raise ConfigError(
                     f"decomp_kernel {self.decomp_kernel} exceeds lookback {self.lookback}"
                 )
+        require_integers(lookback=self.lookback, horizon=self.horizon, hidden=self.hidden,
+                         decomp_kernel=self.decomp_kernel)
 
 
 def moving_average_matrix(length: int, kernel: int) -> np.ndarray:

@@ -30,8 +30,9 @@ from .decode import decode
 from .errors import ConfigError, NumericError, ParseError
 from .gating import GateConfig
 from .lwa import LwaConfig
+from .numcore import thread_count
 from .objectives import LossConfig
-from .pipeline import (DisenTSModel, ModelConfig, TrainConfig, eval_threads, evaluate,
+from .pipeline import (DisenTSModel, ModelConfig, TrainConfig, evaluate,
                        expert_signatures, fit, forward, mean_routing, signature_errors,
                        unified_baseline)
 
@@ -132,7 +133,7 @@ def _validate(config: RunConfig) -> None:
     _window_spec(config, config.lookback, config.horizon)
     _model_config(config)
     _train_config(config)
-    eval_threads()  # DISENTS_THREADS, read now so a bad value fails before any data
+    thread_count()  # DISENTS_THREADS, read now so a bad value fails before any data
 
 
 def _window_spec(config: RunConfig, lookback: int, horizon: int) -> WindowSpec:

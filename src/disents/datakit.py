@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .decode import require_integers
 from .errors import ConfigError, ContractError, ParseError, ShapeError
 
 STD_FLOOR = 1e-8  # constant channels standardize to zeros instead of dividing by zero
@@ -66,6 +67,7 @@ class WindowSpec:
             raise ConfigError(f"need three positive split fractions, got {self.fractions}")
         if abs(math.fsum(self.fractions) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {self.fractions}")
+        require_integers(lookback=self.lookback, horizon=self.horizon, stride=self.stride)
 
 
 def _parse_cell(cell: str, row: int, col: int) -> float:
@@ -310,6 +312,7 @@ class GroupSpec:
             raise ConfigError(f"phase_jitter must be non-negative, got {self.phase_jitter}")
         if not self.harmonics >= 1:
             raise ConfigError(f"harmonics must be positive, got {self.harmonics}")
+        require_integers(harmonics=self.harmonics)
         if not all(math.isfinite(x) for x in (self.amplitude, self.trend, self.sign)):
             raise ConfigError(
                 f"amplitude, trend and sign must be finite, got "

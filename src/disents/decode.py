@@ -5,11 +5,14 @@ rules, taken from the dataclass's resolved annotations: every field present
 and no other key; a bool is no int; a float field takes finite ints or
 floats; a list is checked element by element; `X | None` (or a null
 default) takes null; a dataclass-typed field is decoded in turn. The
-dataclass's own `__post_init__` then checks ranges.
+dataclass's own `__post_init__` then checks ranges and, through
+`require_integers`, that each count field holds an integer, since library
+callers reach it without the decoder.
 """
 
 from __future__ import annotations
 
+import numbers
 import sys
 import types
 import typing
@@ -34,6 +37,14 @@ def _fits(value, kind) -> bool:
     if kind in (int, bool, str, type(None)):
         return type(value) is kind
     raise TypeError(f"decode cannot read the annotation {kind!r}")
+
+
+def require_integers(**counts) -> None:
+    """ConfigError naming the first value that is not an integer. NumPy
+    integers are integers; a bool, and any float, even 2.0, is not."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def decode(cls, raw: dict, where: str):

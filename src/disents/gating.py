@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
+from .decode import require_integers
 from .errors import ConfigError, ContractError, ShapeError
 from .numcore import Tensor
 
@@ -30,6 +31,7 @@ class GateConfig:
     def __post_init__(self):
         if not (self.embed_dim >= 1 and self.heads >= 1):
             raise ConfigError(f"embed_dim and heads must be positive, got {self.embed_dim}, {self.heads}")
+        require_integers(embed_dim=self.embed_dim, heads=self.heads)
         if self.embed_dim % self.heads != 0:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if not 0.0 <= self.dropout < 1.0:

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import numcore as nc
 from .backbones import Backbone, forecast_rows
+from .decode import require_integers
 from .errors import ConfigError, ContractError, ShapeError
 from .numcore import Tensor
 
@@ -30,8 +31,10 @@ class LwaConfig:
     rcond: float = 1e-6
 
     def __post_init__(self):
-        if self.top_k is not None and not self.top_k >= 1:
-            raise ConfigError(f"top_k must be positive, got {self.top_k}")
+        if self.top_k is not None:
+            if not self.top_k >= 1:
+                raise ConfigError(f"top_k must be positive, got {self.top_k}")
+            require_integers(top_k=self.top_k)
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not self.rcond > 0.0:

@@ -13,12 +13,25 @@ and matmul compute no adjoint for an input that takes no gradient.
 
 All data is float64 and row-major. The tape is thread-local, so concurrent
 evaluation threads that never open a recording stay independent.
+
+The module owns one thread pool, made on first use and sized by
+`thread_count()` (DISENTS_THREADS, else 1). `pool_map` spreads independent
+tasks over it, as `pipeline.evaluate` does with its batches. `by_rows`
+splits a pointwise kernel over the leading axis of an array of at least
+SPLIT_MIN elements, one contiguous chunk per thread; `gelu` runs both
+directions that way, in place in preallocated buffers. Every element sees
+the same operations in the same order however the rows are split, so
+results do not depend on the thread count. Smaller arrays run on the
+calling thread without reading the environment, and a pool worker runs
+everything inline, so no worker ever waits on the pool.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -26,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, NumericError, ShapeError
 
 Array = np.ndarray
 
@@ -164,6 +177,88 @@ def no_recording():
         yield
     finally:
         _LOCAL.record = prev
+
+
+SPLIT_MIN = 1 << 16  # elements; a smaller array's pointwise kernel runs on the calling thread
+
+_POOL_LOCK = threading.Lock()
+_POOL: tuple[int, ThreadPoolExecutor] | None = None  # (threads, pool)
+
+
+def thread_count(threads: int | None = None) -> int:
+    """The thread count: `threads` if given, else DISENTS_THREADS, else 1."""
+    if threads is not None:
+        return max(1, threads)
+    raw = os.environ.get("DISENTS_THREADS", "").strip()
+    if not raw:
+        return 1
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ConfigError(f"DISENTS_THREADS must be an integer, got {raw!r}") from None
+
+
+def _mark_worker() -> None:
+    _LOCAL.pool_worker = True
+
+
+def _on_worker() -> bool:
+    return getattr(_LOCAL, "pool_worker", False)
+
+
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The shared pool, remade when asked for another size. A replaced pool
+    is not shut down, so a caller still holding it can finish; its idle
+    workers exit once it is collected."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != threads:
+            _POOL = threads, ThreadPoolExecutor(threads, thread_name_prefix="disents",
+                                                initializer=_mark_worker)
+        return _POOL[1]
+
+
+def drop_pool() -> None:
+    """Shut the shared pool down, cancelling queued tasks; the next threaded
+    call makes a fresh one."""
+    global _POOL
+    with _POOL_LOCK:
+        dropped, _POOL = _POOL, None
+    if dropped is not None:
+        dropped[1].shutdown(wait=True, cancel_futures=True)
+
+
+def pool_map(fn: Callable, items: Sequence, threads: int) -> list:
+    """`[fn(i) for i in items]`, spread over `threads` threads of the shared
+    pool; on the calling thread when there is one thread or one item, or
+    when the caller is itself a pool worker."""
+    if threads <= 1 or len(items) <= 1 or _on_worker():
+        return [fn(i) for i in items]
+    return list(_pool(threads).map(fn, items))
+
+
+def by_rows(fn: Callable, x: Array) -> None:
+    """Call `fn(index)` over index expressions that together cover `x`'s
+    leading axis once: `...` on the calling thread when `x` has fewer than
+    SPLIT_MIN elements or the caller is a pool worker, else one contiguous
+    `slice` of rows per thread, the first run by the caller. `fn` must write
+    only the rows it is given."""
+    threads = 1 if x.size < SPLIT_MIN or _on_worker() else thread_count()
+    if threads == 1 or x.shape[0] == 1:
+        fn(...)
+        return
+    pieces = min(threads, x.shape[0])
+    bounds = [x.shape[0] * i // pieces for i in range(pieces + 1)]
+    chunks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    pool = _pool(threads)
+    futures = [pool.submit(fn, chunk) for chunk in chunks[1:]]
+    try:
+        fn(chunks[0])
+    finally:
+        for future in futures:  # every chunk ends, or is cancelled, before the caller goes on
+            future.exception()
+    for future in futures:
+        future.result()
 
 
 def constant(data) -> Tensor:
@@ -357,17 +452,41 @@ def relu(t) -> Tensor:
 
 
 def gelu(t) -> Tensor:
-    """Exact Gaussian-error-linear unit, x * Phi(x)."""
+    """Exact Gaussian-error-linear unit, x * Phi(x).
+
+    Both directions write into preallocated buffers, a row chunk at a time
+    (`by_rows`). The backward buffer runs the ops of g * (cdf + x * pdf),
+    pdf = exp(-0.5 * x * x) / sqrt(2 pi), in their order with the operands
+    of each commutative op swapped, which gives the same bits."""
     t = _lift(t)
     x = t.data
-    cdf = erf(x * _INV_SQRT2)  # Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), finished in place
-    cdf += 1.0
-    cdf *= 0.5
-    out = x * cdf
+    cdf, out = np.empty_like(x), np.empty_like(x)
+
+    def forward_rows(rows):
+        c = cdf[rows]
+        np.multiply(x[rows], _INV_SQRT2, out=c)
+        erf(c, out=c)  # Phi(x) = 0.5 * (1 + erf(x / sqrt 2))
+        c += 1.0
+        c *= 0.5
+        np.multiply(x[rows], c, out=out[rows])
+
+    by_rows(forward_rows, x)
 
     def backward(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (cdf + x * pdf),)
+        d_x = np.empty_like(x)
+
+        def backward_rows(rows):
+            d, xr = d_x[rows], x[rows]
+            np.multiply(xr, -0.5, out=d)
+            d *= xr
+            np.exp(d, out=d)
+            d *= _INV_SQRT_2PI
+            d *= xr
+            d += cdf[rows]
+            d *= g[rows]
+
+        by_rows(backward_rows, x)
+        return (d_x,)
 
     return _unary(t, out, backward)
 

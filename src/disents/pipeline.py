@@ -15,9 +15,7 @@ shuffling and dropout, so model variants with the same seed stay aligned.
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +25,7 @@ from . import gating
 from . import numcore as nc
 from .backbones import Backbone, BackboneConfig, forecast_batch
 from .datakit import WindowedData
+from .decode import require_integers
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .gating import GateConfig, GateParams, route
 from .lwa import EmaRegistry, LwaConfig, approximate, effective_top_k, select_top_k, signature_error
@@ -81,6 +80,7 @@ class ModelConfig:
     def __post_init__(self):
         if not self.n_experts >= 1:
             raise ConfigError(f"n_experts must be positive, got {self.n_experts}")
+        require_integers(n_experts=self.n_experts)
         if not self.eps_norm > 0:
             raise ConfigError(f"eps_norm must be positive, got {self.eps_norm}")
 
@@ -103,6 +103,7 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not self.patience >= 0:
             raise ConfigError(f"patience must be non-negative, got {self.patience}")
+        require_integers(epochs=self.epochs, batch_size=self.batch_size, patience=self.patience)
 
 
 class DisenTSModel:
@@ -300,19 +301,6 @@ class Metrics:
         return {"mse": self.mse, "mae": self.mae, "per_channel_mse": self.per_channel_mse}
 
 
-def eval_threads(threads: int | None = None) -> int:
-    """The evaluation thread count: `threads` if given, else DISENTS_THREADS, else 1."""
-    if threads is not None:
-        return max(1, threads)
-    raw = os.environ.get("DISENTS_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"DISENTS_THREADS must be an integer, got {raw!r}") from None
-
-
 def _check_batch_size(batch_size: int) -> None:
     if batch_size < 1:
         raise ConfigError(f"batch_size must be positive, got {batch_size}")
@@ -322,9 +310,9 @@ def evaluate(model, x: np.ndarray, y: np.ndarray, batch_size: int = 256,
              threads: int | None = None) -> Metrics:
     """Forecast metrics of any `.predict` model over a windowed split.
 
-    Batches may be sharded across threads (capped by DISENTS_THREADS); the
-    reduction order is fixed by batch index, so results do not depend on
-    the thread count."""
+    Batches are sharded over `threads` threads (default DISENTS_THREADS) of
+    numcore's shared pool; the reduction order is fixed by batch index, so
+    results do not depend on the thread count."""
     _check_batch_size(batch_size)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -338,12 +326,7 @@ def evaluate(model, x: np.ndarray, y: np.ndarray, batch_size: int = 256,
         diff = model.predict(x[start:start + batch_size]) - y[start:start + batch_size]
         return (diff * diff).sum(axis=(0, 2)), np.abs(diff).sum()
 
-    n_threads = eval_threads(threads)
-    if n_threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            partials = list(pool.map(shard, starts))
-    else:
-        partials = [shard(s) for s in starts]
+    partials = nc.pool_map(shard, starts, nc.thread_count(threads))
     sq_by_channel = np.zeros(x.shape[1])
     abs_total = 0.0
     for sq, ab in partials:

@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
 import pytest
 
 from disents.backbones import KINDS, BackboneConfig
@@ -139,3 +140,46 @@ def test_range_checks_reject_nan(build):
 def test_count_fields_and_group_shape_reject_nan(build, message):
     with pytest.raises(ConfigError, match=message):
         build()
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BackboneConfig("linear", 2.5, 4), "lookback must be an integer, got 2.5"),
+    (lambda: BackboneConfig("linear", 8, INF), "horizon must be an integer, got inf"),
+    (lambda: BackboneConfig("mlp", 8, 4, hidden=16.0), "hidden must be an integer, got 16.0"),
+    (lambda: BackboneConfig("decomp-linear", 8, 4, decomp_kernel=3.0),
+     "decomp_kernel must be an integer, got 3.0"),
+    (lambda: WindowSpec(INF, 24), "lookback must be an integer, got inf"),
+    (lambda: WindowSpec(48, 24.5), "horizon must be an integer, got 24.5"),
+    (lambda: WindowSpec(48, 24, stride=1.0), "stride must be an integer, got 1.0"),
+    (lambda: GateConfig(embed_dim=64.0), "embed_dim must be an integer, got 64.0"),
+    (lambda: GateConfig(heads=4.0), "heads must be an integer, got 4.0"),
+    (lambda: TrainConfig(epochs=2.5), "epochs must be an integer, got 2.5"),
+    (lambda: TrainConfig(batch_size=INF), "batch_size must be an integer, got inf"),
+    (lambda: TrainConfig(patience=1.5), "patience must be an integer, got 1.5"),
+    (lambda: LwaConfig(top_k=7.5), "top_k must be an integer, got 7.5"),
+    (lambda: ModelConfig(n_experts=2.0, backbone=BackboneConfig("linear", 8, 4)),
+     "n_experts must be an integer, got 2.0"),
+    (lambda: GroupSpec(24.0, harmonics=INF), "harmonics must be an integer, got inf"),
+], ids=["lookback", "horizon", "hidden", "decomp_kernel", "window_lookback", "window_horizon",
+        "stride", "embed_dim", "heads", "epochs", "batch_size", "patience", "top_k", "n_experts",
+        "harmonics"])
+def test_count_fields_reject_non_integers(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
+def test_count_fields_take_numpy_integers():
+    n = np.int64
+    BackboneConfig("mlp", n(8), n(4), hidden=n(3), decomp_kernel=n(5))
+    BackboneConfig("decomp-linear", n(8), n(4), decomp_kernel=n(5))
+    WindowSpec(n(48), n(24), stride=n(2))
+    GateConfig(embed_dim=n(8), heads=n(2))
+    TrainConfig(epochs=n(2), batch_size=n(4), patience=n(0))
+    LwaConfig(top_k=n(7))
+    ModelConfig(n_experts=n(2), backbone=BackboneConfig("linear", 8, 4))
+    GroupSpec(24.0, harmonics=n(2))
+    with pytest.raises(ConfigError, match="heads must be an integer, got True"):
+        GateConfig(embed_dim=8, heads=True)

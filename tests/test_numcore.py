@@ -8,9 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 import disents.numcore as nc
-from disents.errors import ContractError, NumericError, ShapeError
+from disents.errors import ConfigError, ContractError, NumericError, ShapeError
 from disents.backbones import BackboneConfig
 from disents.numcore import (ADAM_BLOCK, AdamState, Tensor, adam_step, backward, grad_check, pinv,
                              recording)
@@ -576,3 +577,100 @@ def test_backward_leaves_grad_on_leaves_only():
     assert all(t.requires_grad and t.grad is None for t in outputs)
     assert all(p.grad is not None for _, p in model.named_parameters())
     assert np.array_equal(stray.grad, np.zeros(3))
+
+
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
+INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _gelu_formula(x, g):
+    """GELU and its adjoint over the whole array at once, as NumPy writes them."""
+    cdf = (erf(x * INV_SQRT2) + 1.0) * 0.5
+    pdf = np.exp(-0.5 * x * x) * INV_SQRT_2PI
+    return x * cdf, g * (cdf + x * pdf)
+
+
+def _gelu_taped(x, g):
+    """GELU's value and its adjoint for the output adjoint `g`, read off the
+    tape; `x` is used as given, strides and all."""
+    t = Tensor(x, requires_grad=True)
+    assert t.data is x or np.shares_memory(t.data, x)
+    with recording():
+        out = nc.gelu(t)
+        backward(nc.sum(nc.multiply(out, g)))
+    return out.data, t.grad
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.normal(size=(3, 5)) * 4,
+    lambda rng: rng.normal(size=nc.SPLIT_MIN - 1) * 4,
+    lambda rng: rng.normal(size=(257, 256)) * 4,
+    lambda rng: rng.normal(size=(1031, 67)) * 4,
+    lambda rng: rng.normal(size=(67, 1031)).T * 4,
+    lambda rng: rng.normal(size=(2, 600, 130))[:, ::2] * 4,
+], ids=["small", "just-below", "large", "odd-rows", "transposed", "strided-3d"])
+def test_gelu_equals_the_whole_array_formula_at_any_thread_count(make, threads, monkeypatch):
+    monkeypatch.setenv("DISENTS_THREADS", threads)
+    rng = np.random.default_rng(41)
+    x = make(rng)
+    g = rng.normal(size=x.shape)
+    value, adjoint = _gelu_taped(x, g)
+    want_value, want_adjoint = _gelu_formula(x, g)
+    assert (nc._POOL is not None) == (threads != "1" and x.size >= nc.SPLIT_MIN)
+    assert np.array_equal(value, want_value)
+    assert np.array_equal(adjoint, want_adjoint)
+
+
+def test_by_rows_covers_each_row_once_in_contiguous_chunks(monkeypatch):
+    x = np.zeros((1031, 67))
+    for threads, pieces in (("1", 1), ("2", 2), ("3", 3)):
+        monkeypatch.setenv("DISENTS_THREADS", threads)
+        seen = []
+        nc.by_rows(seen.append, x)
+        if pieces == 1:
+            assert seen == [...]
+            continue
+        spans = sorted((s.start, s.stop) for s in seen)
+        assert len(spans) == pieces and spans[0][0] == 0 and spans[-1][1] == x.shape[0]
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert max(b - a for a, b in spans) - min(b - a for a, b in spans) <= 1
+    monkeypatch.setenv("DISENTS_THREADS", "8")
+    seen = []
+    nc.by_rows(seen.append, np.zeros((3, nc.SPLIT_MIN)))  # more threads than rows
+    assert sorted(s.start for s in seen) == [0, 1, 2]
+
+
+def test_small_arrays_read_no_environment_and_touch_no_pool(monkeypatch):
+    """Below SPLIT_MIN elements a kernel runs inline: even an unreadable
+    DISENTS_THREADS goes unread, and no pool is made. At or above it, the
+    variable is read."""
+    monkeypatch.setenv("DISENTS_THREADS", "abc")
+    nc.drop_pool()
+    x = np.random.default_rng(42).normal(size=(64, nc.SPLIT_MIN // 64 - 1))
+    value, adjoint = _gelu_taped(x, np.ones_like(x))
+    assert np.array_equal(value, _gelu_formula(x, np.ones_like(x))[0])
+    assert nc._POOL is None
+    with pytest.raises(ConfigError, match="DISENTS_THREADS must be an integer"):
+        nc.gelu(Tensor(np.zeros((64, nc.SPLIT_MIN // 64))))
+
+
+def test_a_failing_chunk_raises_after_every_chunk_has_run(monkeypatch):
+    monkeypatch.setenv("DISENTS_THREADS", "3")
+    x = np.zeros((300, 300))
+    done = []
+
+    def fn(rows):
+        done.append(rows)
+        if rows.start == 100:
+            raise NumericError("chunk failed")
+
+    with pytest.raises(NumericError, match="chunk failed"):
+        nc.by_rows(fn, x)
+    assert len(done) == 3
+
+
+def test_pool_map_keeps_item_order_and_runs_inline_on_a_worker():
+    assert nc.pool_map(lambda i: i * i, range(7), 3) == [i * i for i in range(7)]
+    inner = nc.pool_map(lambda i: nc.pool_map(lambda j: (i, j), range(2), 3), range(4), 3)
+    assert inner == [[(i, 0), (i, 1)] for i in range(4)]

@@ -3,11 +3,16 @@ mixture algebra, step ordering, determinism, early stopping, and the
 single-expert step pairing exactly with a plain single-backbone step."""
 
 import json
+import os
 import sys
+import threading
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import disents.numcore as nc
 from disents import gating
@@ -584,3 +589,83 @@ def test_window_views_give_the_bits_of_contiguous_copies(monkeypatch):
 
     for a, b in zip(outputs(views), outputs(copies), strict=True):
         assert a.tobytes() == b.tobytes()
+
+
+def _wide_gate_model(seed, k=4):
+    """A K-expert model whose default 64-wide gate FFN (256 columns) crosses
+    numcore.SPLIT_MIN once a forward holds 256 or more channel rows."""
+    return DisenTSModel(ModelConfig(n_experts=k, backbone=BackboneConfig("linear", 12, 6)),
+                        seed=seed)
+
+
+def test_train_steps_are_bit_identical_at_one_and_two_threads(monkeypatch):
+    rng = np.random.default_rng(27)
+    x, y = rng.normal(size=(120, 8, 12)), rng.normal(size=(120, 8, 6))
+    assert 40 * 8 * 4 * 64 >= nc.SPLIT_MIN  # a 40-window batch splits the gate FFN
+
+    def outputs(threads):
+        monkeypatch.setenv("DISENTS_THREADS", threads)
+        model = _wide_gate_model(27)
+        opt = AdamState.for_params([t for _, t in model.named_parameters()], lr=1e-3)
+        step_rng = train_rng(27)
+        got = []
+        for start in (0, 40, 80):
+            report = train_step(model, x[start:start + 40], y[start:start + 40], opt, step_rng)
+            got.append(np.array([report.l_fc, report.l_sc, report.total, *report.epsilons]))
+        return got + list(model.arrays().values())
+
+    serial = outputs("1")
+    assert nc._POOL is None
+    threaded = outputs("2")
+    assert nc._POOL is not None
+    for a, b in zip(serial, threaded, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+@given(batch_size=st.integers(1, 60))
+@settings(max_examples=25)
+def test_evaluate_is_bit_identical_at_any_thread_count(batch_size):
+    """Batches of 16 windows or more (256 channel rows) split the gate FFN
+    over the pool when they run on the calling thread."""
+    model = _wide_gate_model(28, k=2)
+    rng = np.random.default_rng(28)
+    x, y = rng.normal(size=(48, 16, 12)), rng.normal(size=(48, 16, 6))
+    results = []
+    for threads in ("1", "2", "3"):
+        with mock.patch.dict(os.environ, {"DISENTS_THREADS": threads}):
+            results.append(evaluate(model, x, y, batch_size=batch_size))
+    assert results[0] == results[1] == results[2]
+
+
+def test_threaded_evaluate_of_large_batches_finishes():
+    """Shards run on pool workers, and a worker runs the GELU rows of its
+    shard itself: if it queued them on the pool it shares with the other
+    shards, every worker would wait on work that no worker is free to run."""
+    model = _wide_gate_model(29, k=2)
+    rng = np.random.default_rng(29)
+    x, y = rng.normal(size=(96, 16, 12)), rng.normal(size=(96, 16, 6))
+    result = []
+    with mock.patch.dict(os.environ, {"DISENTS_THREADS": "2"}):
+        runner = threading.Thread(
+            target=lambda: result.append(evaluate(model, x, y, batch_size=32)), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+    assert not runner.is_alive(), "evaluate did not finish within 60 s"
+    assert result == [evaluate(model, x, y, batch_size=32, threads=1)]
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-10, 8),
+       offset=st.floats(-1e6, 1e6), flat=st.sampled_from([0.0, 1e-13, 1.0]))
+def test_stationarizer_round_trip_holds_to_the_input_scale(seed, log_scale, offset, flat):
+    """normalize then denormalize returns every window-channel to within
+    1e-12 of its largest magnitude, at any scale, including near-constant
+    and constant channels (`flat` shrinks the variation of channel 0)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(3, 4, 16)) * 10.0 ** log_scale * rng.uniform(0.1, 10.0, size=(1, 4, 1))
+    x += offset
+    x[:, 0] = offset + (x[:, 0] - offset) * flat
+    stationarizer = Stationarizer()
+    xn, mu, sigma = stationarizer.normalize(x)
+    back = stationarizer.denormalize(nc.constant(xn), mu, sigma).data
+    scale = np.abs(x).max(axis=2, keepdims=True)
+    assert (np.abs(back - x) <= 1e-12 * scale).all()
