@@ -15,7 +15,7 @@ from .datakit import (GroupSpec, SeriesDataset, WindowSpec, load_csv, make_windo
 from .errors import (ConfigError, ContractError, DisentsError, NumericError, ParseError,
                      ShapeError)
 from .gating import GateConfig, GateParams, route
-from .lwa import EmaRegistry, LwaConfig, approximate, approximation_error, select_top_k
+from .lwa import EmaRegistry, LwaConfig, approximate, select_top_k
 from .numcore import AdamState, DiffRecord, Tensor, adam_step, backward, grad_check, pinv
 from .objectives import LossConfig, mse_loss, similarity_constraint, total_loss
 from .pipeline import (DisenTSModel, FitResult, Metrics, ModelConfig, TrainConfig, evaluate, fit,

@@ -1,9 +1,11 @@
-"""Channel-independent forecasting backbones.
+"""Channel-independent forecasting backbones, K experts as one stack.
 
 Each backbone maps a lookback window of one channel to a horizon forecast
 and is applied to every channel of every series with shared weights. Three
 kinds are provided: a single linear head, a trend/seasonal decomposition
 with one linear head per component, and a one-hidden-layer MLP with GELU.
+The K experts of a model are one `Backbone` of [K, ...] parameter stacks,
+and each layer runs once for all of them.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ import numpy as np
 
 from . import numcore as nc
 from .decode import require_integers
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .numcore import Tensor
 
 KINDS = ("linear", "decomp-linear", "mlp")
 
-INIT_STD = 0.02  # weight init N(0, INIT_STD^2); biases start at zero
+INIT_STD = 0.02  # weight init N(0, INIT_STD^2); biases (the 1-D shapes) start at zero
 
 
 @dataclass(frozen=True)
@@ -60,38 +62,29 @@ def moving_average_matrix(length: int, kernel: int) -> np.ndarray:
 
 
 class Backbone:
-    """One expert forecaster: config plus named parameter tensors."""
+    """The K expert forecasters as one stack: config plus named parameter
+    tensors, each of shape [K, ...]: one weight or bias per expert. The
+    weights are drawn expert by expert, so expert 0 is the same at every K."""
 
-    def __init__(self, config: BackboneConfig, rng: np.random.Generator):
+    def __init__(self, config: BackboneConfig, n_experts: int, rng: np.random.Generator):
+        if n_experts < 1:
+            raise ConfigError(f"a backbone stack needs at least one expert, got {n_experts}")
         self.config = config
-        L, H = config.lookback, config.horizon
-
-        def weight(shape):
-            return nc.parameter(rng.normal(0.0, INIT_STD, size=shape))
-
-        def bias(n):
-            return nc.parameter(np.zeros(n))
-
-        p: dict[str, Tensor] = {}
-        if config.kind == "linear":
-            p["w"] = weight((L, H))
-            p["b"] = bias(H)
-        elif config.kind == "decomp-linear":
-            p["trend_w"] = weight((L, H))
-            p["trend_b"] = bias(H)
-            p["seasonal_w"] = weight((L, H))
-            p["seasonal_b"] = bias(H)
-        else:  # mlp
-            p["w1"] = weight((L, config.hidden))
-            p["b1"] = bias(config.hidden)
-            p["w2"] = weight((config.hidden, H))
-            p["b2"] = bias(H)
-        self.params = p
-        self._trend_matrix = (
-            nc.constant(moving_average_matrix(L, config.decomp_kernel))
-            if config.kind == "decomp-linear"
-            else None
-        )
+        self.n_experts = n_experts
+        L, H, hidden = config.lookback, config.horizon, config.hidden
+        shapes = {
+            "linear": {"w": (L, H), "b": (H,)},
+            "decomp-linear": {"trend_w": (L, H), "trend_b": (H,),
+                              "seasonal_w": (L, H), "seasonal_b": (H,)},
+            "mlp": {"w1": (L, hidden), "b1": (hidden,), "w2": (hidden, H), "b2": (H,)},
+        }[config.kind]
+        experts = [{key: rng.normal(0.0, INIT_STD, size=shape) if len(shape) == 2
+                    else np.zeros(shape) for key, shape in shapes.items()}
+                   for _ in range(n_experts)]
+        self.params: dict[str, Tensor] = {
+            key: nc.parameter(np.stack([e[key] for e in experts])) for key in shapes}
+        self._trend_matrix = (moving_average_matrix(L, config.decomp_kernel)
+                              if config.kind == "decomp-linear" else None)
 
     @property
     def param_count(self) -> int:
@@ -99,30 +92,37 @@ class Backbone:
 
 
 def forecast_rows(backbone: Backbone, x: Tensor) -> Tensor:
-    """Forecast a stack of independent channel rows, [rows, L] -> [rows, H]."""
+    """Forecast a stack of independent channel rows with every expert,
+    [rows, L] -> [K, rows, H]. Each layer is one stacked matmul over a
+    read-only broadcast of the shared rows, which must be a constant."""
     x = x if isinstance(x, Tensor) else nc.constant(x)
     cfg = backbone.config
     if x.ndim != 2 or x.shape[1] != cfg.lookback:
         raise ShapeError(f"expected rows of length {cfg.lookback}, got shape {x.shape}")
-    p = backbone.params
+    if x.requires_grad:
+        raise ContractError("backbone inputs are constants; no gradient flows into them")
+    p, k = backbone.params, backbone.n_experts
+
+    def layer(rows, weight: str, bias: str) -> Tensor:  # 2-D rows are shared by every expert
+        if not isinstance(rows, Tensor):
+            rows = nc.constant(np.broadcast_to(rows, (k,) + rows.shape))
+        return nc.matmul(rows, p[weight]) + nc.reshape(p[bias], (k, 1, -1))
+
     if cfg.kind == "linear":
-        return nc.matmul(x, p["w"]) + p["b"]
+        return layer(x.data, "w", "b")
     if cfg.kind == "decomp-linear":
-        trend = nc.matmul(x, backbone._trend_matrix)
-        seasonal = x - trend
-        return (nc.matmul(trend, p["trend_w"]) + p["trend_b"]) + (
-            nc.matmul(seasonal, p["seasonal_w"]) + p["seasonal_b"]
-        )
-    hidden = nc.gelu(nc.matmul(x, p["w1"]) + p["b1"])
-    return nc.matmul(hidden, p["w2"]) + p["b2"]
+        trend = x.data @ backbone._trend_matrix
+        return layer(trend, "trend_w", "trend_b") + layer(x.data - trend, "seasonal_w",
+                                                          "seasonal_b")
+    return layer(nc.gelu(layer(x.data, "w1", "b1")), "w2", "b2")
 
 
 def forecast_batch(backbone: Backbone, x: Tensor) -> Tensor:
-    """Forecast a batch of multivariate windows, [B, C, L] -> [B, C, H]."""
+    """Forecast a batch of multivariate windows with every expert,
+    [B, C, L] -> [K, B, C, H]."""
     x = x if isinstance(x, Tensor) else nc.constant(x)
     if x.ndim != 3:
         raise ShapeError(f"expected a [batch, channels, lookback] tensor, got shape {x.shape}")
-    b, c, _ = x.shape
-    rows = nc.reshape(x, (b * c, x.shape[2]))
-    out = forecast_rows(backbone, rows)
-    return nc.reshape(out, (b, c, backbone.config.horizon))
+    b, c, lookback = x.shape
+    out = forecast_rows(backbone, nc.reshape(x, (b * c, lookback)))
+    return nc.reshape(out, (backbone.n_experts, b, c, backbone.config.horizon))

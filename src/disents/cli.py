@@ -202,10 +202,19 @@ def _load_dataset(config: RunConfig) -> SeriesDataset:
     return load_csv(path)
 
 
+def _output_dir(config: RunConfig) -> Path:
+    """The --out directory, made if missing; one that cannot be made is a bad flag."""
+    out_dir = Path(config.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror}") from exc
+    return out_dir
+
+
 def _write_metrics(out_dir: Path, metrics, runtime_s: float, name: str = "metrics.json") -> Path:
     payload = metrics.to_dict()
     payload["runtime_s"] = runtime_s
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -216,7 +225,7 @@ def cmd_synth(config: RunConfig) -> int:
     dataset = synth_generate(_groups(config), length=config.synth_length,
                              channels_per_group=config.synth_channels_per_group,
                              noise=config.synth_noise, seed=config.seed)
-    out = save_csv(dataset, Path(config.out_dir) / "synthetic.csv")
+    out = save_csv(dataset, _output_dir(config) / "synthetic.csv")
     print(f"wrote {out} and {labels_sidecar_path(out)}")
     return 0
 
@@ -224,7 +233,7 @@ def cmd_synth(config: RunConfig) -> int:
 def cmd_train(config: RunConfig) -> int:
     _, windows = _windows(config, config.lookback, config.horizon)
     model = DisenTSModel(_model_config(config), seed=config.seed)
-    out_dir = Path(config.out_dir)
+    out_dir = _output_dir(config)
     t0 = time.perf_counter()
     fit(model, windows, _train_config(config), log_path=out_dir / "train_log.jsonl")
     metrics = evaluate(model, windows.test_x, windows.test_y, config.eval_batch_size)
@@ -243,7 +252,7 @@ def cmd_eval(config: RunConfig) -> int:
     _, windows = _windows(config, bb.lookback, bb.horizon)
     t0 = time.perf_counter()
     metrics = evaluate(model, windows.test_x, windows.test_y, config.eval_batch_size)
-    metrics_path = _write_metrics(Path(config.out_dir), metrics, time.perf_counter() - t0)
+    metrics_path = _write_metrics(_output_dir(config), metrics, time.perf_counter() - t0)
     print(f"test mse {metrics.mse:.6f} mae {metrics.mae:.6f}; wrote {metrics_path}")
     return 0
 
@@ -253,7 +262,7 @@ def cmd_baseline(config: RunConfig) -> int:
     t0 = time.perf_counter()
     metrics, _ = unified_baseline(windows, _backbone_config(config), _train_config(config),
                                   eps_norm=config.eps_norm)
-    metrics_path = _write_metrics(Path(config.out_dir), metrics, time.perf_counter() - t0)
+    metrics_path = _write_metrics(_output_dir(config), metrics, time.perf_counter() - t0)
     print(f"baseline test mse {metrics.mse:.6f} mae {metrics.mae:.6f}; wrote {metrics_path}")
     return 0
 
@@ -267,8 +276,7 @@ def cmd_inspect(config: RunConfig, target: str) -> int:
                           "checkpoint with k_experts >= 2")
     bb = model.config.backbone
     dataset, windows = _windows(config, bb.lookback, bb.horizon)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config)
     if target == "lwa":
         batch = windows.test_x[:config.batch_size]
         fwd = forward(model, batch, training=False)

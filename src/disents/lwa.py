@@ -7,6 +7,8 @@ no intercept). The pseudo-inverse of the inputs is a gradient barrier, so
 the constraint losses built on W reach the expert only through its
 forecasts. An exponential moving average of W per expert forms the
 signature registry the gate conditions on.
+Selection and regression also run on the [K, ...] stack of all experts at
+once, through one gather and one stacked SVD.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .backbones import Backbone, forecast_rows
 from .decode import require_integers
 from .errors import ConfigError, ContractError, ShapeError
 from .numcore import Tensor
@@ -85,51 +86,50 @@ class EmaRegistry:
 
 
 def select_top_k(beta: Tensor, x_norm: Tensor, y_hat: Tensor,
-                 expert: int, k: int) -> tuple[Tensor, Tensor]:
+                 expert, k: int) -> tuple[Tensor, Tensor]:
     """Pick the k channel rows with the highest routing weight for `expert`.
 
-    Rows are pooled across the whole batch ([B, C] flattened row-major) and
-    ties broken by ascending (batch, channel) position. Returns x_hat as a
-    constant [k, L] and f_hat as [k, H] with gradient linkage to the expert.
+    `expert` is one index, with `y_hat` its [B, C, H] forecasts, or an index
+    array [E] with the [E, B, C, H] stack of those experts' forecasts. Rows
+    are pooled across the whole batch ([B, C] flattened row-major) and ties
+    broken by ascending (batch, channel) position. Returns x_hat as a
+    constant [..., k, L] and f_hat as [..., k, H] with gradient linkage to
+    the forecasts, where `...` is the shape of `expert`.
     """
     if beta.ndim != 3:
         raise ShapeError(f"beta must be [batch, channels, experts], got shape {beta.shape}")
     b, c, n_experts = beta.shape
     pool = b * c
-    if not 0 <= expert < n_experts:
+    experts = np.asarray(expert)
+    if ((experts < 0) | (experts >= n_experts)).any():
         raise ContractError(f"expert index {expert} out of range for {n_experts}")
     if not 1 <= k <= pool:
         raise ContractError(f"top-k of {k} from a pool of {pool} rows")
-    if x_norm.shape[:2] != (b, c) or y_hat.shape[:2] != (b, c):
-        raise ShapeError(
-            f"beta {beta.shape}, inputs {x_norm.shape}, forecasts {y_hat.shape} disagree on batch/channels"
-        )
-    scores = beta.data[:, :, expert].reshape(pool)
-    order = np.argsort(-scores, kind="stable")[:k]
+    lead = experts.shape
+    if x_norm.shape[:2] != (b, c) or y_hat.shape[:-1] != lead + (b, c):
+        raise ShapeError(f"beta {beta.shape}, inputs {x_norm.shape} and forecasts "
+                         f"{y_hat.shape} disagree on experts, batch or channels")
+    scores = np.moveaxis(beta.data.reshape(pool, n_experts)[:, experts], 0, -1)
+    order = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
     x_rows = nc.constant(x_norm.data.reshape(pool, x_norm.shape[2])[order])
-    f_rows = nc.gather_rows(nc.reshape(y_hat, (pool, y_hat.shape[2])), order)
+    f_rows = nc.gather_rows(nc.reshape(y_hat, lead + (pool, y_hat.shape[-1])), order)
     return x_rows, f_rows
 
 
 def approximate(x_hat: Tensor, f_hat: Tensor, rcond: float = 1e-6) -> Tensor:
-    """Least-squares linear signature W = pinv(x_hat) @ f_hat, [L, H].
+    """Least-squares linear signature W = pinv(x_hat) @ f_hat, [L, H], or
+    one per matrix of equal [..., k, L] and [..., k, H] stacks.
 
     Gradients flow only through f_hat; the pseudo-inverse is constant."""
-    if x_hat.ndim != 2 or f_hat.ndim != 2 or x_hat.shape[0] != f_hat.shape[0]:
+    if x_hat.ndim < 2 or x_hat.shape[:-1] != f_hat.shape[:-1]:
         raise ShapeError(f"row mismatch between inputs {x_hat.shape} and forecasts {f_hat.shape}")
     return nc.matmul(nc.pinv(x_hat, rcond), f_hat)
 
 
-def signature_error(x: np.ndarray, outputs: np.ndarray, w: np.ndarray) -> float:
-    """Mean squared gap between expert forecasts and their linear image x @ W."""
+def signature_error(x: np.ndarray, outputs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Mean squared gap between expert forecasts [..., R, H] and their linear
+    image x @ W of the rows x [R, L], one value per signature W [..., L, H]."""
     x = np.asarray(x, dtype=np.float64)
     outputs = np.asarray(outputs, dtype=np.float64)
     diff = outputs - x @ np.asarray(w, dtype=np.float64)
-    return float(np.mean(diff * diff))
-
-
-def approximation_error(backbone: Backbone, x: np.ndarray, w: np.ndarray) -> float:
-    """How faithfully W mirrors the backbone on the given rows, computed off the tape."""
-    with nc.no_recording():
-        pred = forecast_rows(backbone, nc.constant(x))
-    return signature_error(x, pred.data, w)
+    return np.mean(diff * diff, axis=(-2, -1))

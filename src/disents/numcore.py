@@ -269,11 +269,6 @@ def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
-def detach(t: Tensor) -> Tensor:
-    """Copy of `t` with no gradient linkage."""
-    return Tensor(np.array(t.data), requires_grad=False)
-
-
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -407,48 +402,47 @@ def slice_axis(t, axis: int, start: int, stop: int) -> Tensor:
 
 
 def gather_rows(t, indices) -> Tensor:
-    """Select rows of a matrix; duplicate indices accumulate in the adjoint."""
+    """Select rows of a matrix, or rows of each matrix of a stack: `t` is
+    [..., n, d] and `indices` [..., k] indexes the n rows of the matrix it
+    lines up with. Duplicate indices accumulate in the adjoint."""
     t = _lift(t)
-    if t.ndim != 2:
-        raise ShapeError(f"gather_rows expects a matrix, got shape {t.shape}")
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_rows expects a flat index list, got shape {idx.shape}")
-    out = t.data[idx]
+    if t.ndim < 2 or idx.shape[:-1] != t.shape[:-2] or idx.ndim < 1:
+        raise ShapeError(f"gather_rows expects [..., n, d] data and [..., k] indices, "
+                         f"got shapes {t.shape} and {idx.shape}")
+    n, d = t.shape[-2:]
+    flat = (idx + n * np.arange(idx[..., 0].size).reshape(idx.shape[:-1] + (1,))).reshape(-1)
+    out = t.data.reshape(-1, d)[flat].reshape(idx.shape + (d,))
 
     def backward(g):
-        full = np.zeros_like(t.data)
-        np.add.at(full, idx, g)
+        full = np.zeros(t.data.shape)
+        np.add.at(full.reshape(-1, d), flat, g.reshape(-1, d))
         return (full,)
 
     return _record_op(out, (t,), backward)
 
 
-def _unary(t, out_data, bwd) -> Tensor:
-    return _record_op(out_data, (t,), bwd)
-
-
 def exp(t) -> Tensor:
     t = _lift(t)
     out = np.exp(t.data)
-    return _unary(t, out, lambda g: (g * out,))
+    return _record_op(out, (t,), lambda g: (g * out,))
 
 
 def log(t) -> Tensor:
     t = _lift(t)
-    return _unary(t, np.log(t.data), lambda g: (g / t.data,))
+    return _record_op(np.log(t.data), (t,), lambda g: (g / t.data,))
 
 
 def sqrt(t) -> Tensor:
     t = _lift(t)
     out = np.sqrt(t.data)
-    return _unary(t, out, lambda g: (g * 0.5 / out,))
+    return _record_op(out, (t,), lambda g: (g * 0.5 / out,))
 
 
 def relu(t) -> Tensor:
     t = _lift(t)
     mask = t.data > 0
-    return _unary(t, np.where(mask, t.data, 0.0), lambda g: (g * mask,))
+    return _record_op(np.where(mask, t.data, 0.0), (t,), lambda g: (g * mask,))
 
 
 def gelu(t) -> Tensor:
@@ -488,7 +482,7 @@ def gelu(t) -> Tensor:
         by_rows(backward_rows, x)
         return (d_x,)
 
-    return _unary(t, out, backward)
+    return _record_op(out, (t,), backward)
 
 
 def _reduce_axes(axis, ndim) -> tuple[int, ...]:
@@ -574,7 +568,7 @@ def softmax(t) -> Tensor:
         inner = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - inner),)
 
-    return _unary(t, out, backward)
+    return _record_op(out, (t,), backward)
 
 
 def layer_norm(t, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -618,7 +612,7 @@ def dropout(t, rate: float, training: bool, rng: np.random.Generator | None = No
     if rng is None:
         raise ContractError("dropout in training mode needs the run RNG")
     mask = (rng.random(t.data.shape) >= rate) / (1.0 - rate)
-    return _unary(t, t.data * mask, lambda g: (g * mask,))
+    return _record_op(t.data * mask, (t,), lambda g: (g * mask,))
 
 
 def backward(loss: Tensor) -> None:
@@ -687,24 +681,21 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-4) -> flo
 
 def pinv(x, rcond: float = 1e-6) -> Tensor:
     """Moore-Penrose pseudo-inverse via SVD, singular values below
-    rcond * sigma_max treated as zero.
+    rcond * sigma_max treated as zero. A [..., m, n] stack gives the
+    [..., n, m] stack of its matrices' pseudo-inverses, from one SVD call.
 
     Deliberately a gradient barrier: the result is a constant with respect
     to differentiation and never joins the tape.
     """
     t = _lift(x)
-    if t.ndim != 2:
-        raise ShapeError(f"pinv expects a matrix, got shape {t.shape}")
+    if t.ndim < 2:
+        raise ShapeError(f"pinv expects a matrix or a stack of them, got shape {t.shape}")
     if not np.isfinite(t.data).all():
         raise NumericError("pinv input contains non-finite entries")
     u, s, vt = np.linalg.svd(t.data, full_matrices=False)
-    if s.size:
-        keep = s > rcond * s[0]
-        inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-        out = (vt.T * inv) @ u.T
-    else:
-        out = np.zeros((t.shape[1], t.shape[0]))
-    return Tensor(out)
+    keep = s > rcond * s[..., :1]
+    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    return Tensor((np.swapaxes(vt, -1, -2) * inv[..., np.newaxis, :]) @ np.swapaxes(u, -1, -2))
 
 
 ADAM_BLOCK = 16384  # elements per Adam update block; two block-sized buffers stay in cache

@@ -10,7 +10,6 @@ inner-product mode exists for ablation and fixes the temperature at 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -55,16 +54,15 @@ def _unit_rows(rows: Tensor) -> Tensor:
     return rows / norms
 
 
-def similarity_constraint(signatures: Sequence[Tensor], gamma: np.ndarray,
-                          config: LossConfig) -> Tensor:
-    """Contrast fresh signatures against the registry.
+def similarity_constraint(signatures: Tensor, gamma: np.ndarray, config: LossConfig) -> Tensor:
+    """Contrast the fresh [K, L, H] signature stack against the registry.
 
     For each expert i, with similarity s and temperature tau:
         loss_i = -log( exp(s(W_i, gamma_i)/tau) / sum_j exp(s(W_i, gamma_j)/tau) )
     Registry entries are constants; gradients reach only the signatures.
     A single expert has nothing to contrast with, so the loss is exactly 0.
     """
-    n = len(signatures)
+    n = signatures.shape[0]
     if n == 0:
         raise ContractError("similarity_constraint needs at least one signature")
     gamma = np.asarray(gamma, dtype=np.float64)
@@ -72,14 +70,11 @@ def similarity_constraint(signatures: Sequence[Tensor], gamma: np.ndarray,
         raise ContractError(f"{n} signatures but {gamma.shape[0]} registry entries")
     if n == 1:
         return nc.constant(0.0)
-    shape = signatures[0].shape
-    for s in signatures:
-        if s.shape != shape:
-            raise ShapeError(f"signature shapes differ: {s.shape} vs {shape}")
-    if gamma.shape[1:] != shape:
-        raise ShapeError(f"registry entry shape {gamma.shape[1:]} does not match signatures {shape}")
+    if gamma.shape[1:] != signatures.shape[1:]:
+        raise ShapeError(f"registry entry shape {gamma.shape[1:]} does not match signatures "
+                         f"{signatures.shape[1:]}")
 
-    w = nc.concat([nc.reshape(s, (1, -1)) for s in signatures], axis=0)
+    w = nc.reshape(signatures, (n, -1))
     g_flat = gamma.reshape(n, -1)
     if config.normalize_sims:
         w = _unit_rows(w)

@@ -119,7 +119,7 @@ class DisenTSModel:
         self.config = config
         self.seed = seed
         bb = config.backbone
-        self.backbones = [Backbone(bb, rng) for _ in range(config.n_experts)]
+        self.backbone = Backbone(bb, config.n_experts, rng)
         self.gate = (GateParams(bb.lookback, bb.horizon, config.n_experts, config.gate, rng)
                      if config.n_experts > 1 else None)
         self.registry = EmaRegistry(config.n_experts, bb.lookback, bb.horizon,
@@ -135,7 +135,7 @@ class DisenTSModel:
         return self.config.n_experts
 
     def _scopes(self) -> dict[str, dict[str, Tensor]]:
-        scopes = {f"expert{m}": backbone.params for m, backbone in enumerate(self.backbones)}
+        scopes = {"experts": self.backbone.params}
         if self.gate is not None:
             scopes["gate"] = self.gate.params
         return scopes
@@ -153,13 +153,15 @@ class DisenTSModel:
         params[key] = tensor
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Every array the model holds, by name: the parameters, then one
-        registry signature per expert. The values are the live arrays, for
-        reading: write through `load_arrays`. Evaluation reuses one signature
-        embedding until `train_step`, `set_parameter` or `load_arrays` bumps
-        the state version or the registry's values change, so a hand write
-        into a gate parameter would leave it stale."""
-        out = {name: t.data for name, t in self.named_parameters()}
+        """Every array the model holds, by name: `expert{m}.<key>` views into
+        the stacks, the gate's parameters, then each registry signature. The
+        values are the live arrays, for reading: write through `load_arrays`.
+        Evaluation reuses one signature embedding until `train_step`,
+        `set_parameter` or `load_arrays` bumps the state version or the
+        registry's values change: a hand write into a gate parameter leaves it stale."""
+        out = {f"expert{m}.{key}": t.data[m] for m in range(self.n_experts)
+               for key, t in self.backbone.params.items()}
+        out.update((f"gate.{key}", t.data) for key, t in self._scopes().get("gate", {}).items())
         out.update((f"registry.gamma{m}", g) for m, g in enumerate(self.registry.gamma))
         return out
 
@@ -200,10 +202,15 @@ class ForwardResult:
     y_hat: Tensor  # [B, C, H] on the input scale
     y_hat_norm: Tensor  # [B, C, H] on the stationarized scale
     beta: Tensor  # [B, C, K]
-    expert_outputs: list[Tensor]  # K tensors [B, C, H], stationarized scale
+    outputs: Tensor  # [K, B, C, H], every expert's forecasts, stationarized scale
     x_norm: Tensor  # [B, C, L], stationarized input
     mu: np.ndarray
     sigma: np.ndarray
+
+    @property
+    def expert_outputs(self) -> list[Tensor]:
+        """The K [B, C, H] slices of `outputs`, as constants over read-only views."""
+        return [nc.constant(np.broadcast_to(out, out.shape)) for out in self.outputs.data]
 
 
 def forward(model: DisenTSModel, x: np.ndarray, training: bool = False,
@@ -221,14 +228,13 @@ def forward(model: DisenTSModel, x: np.ndarray, training: bool = False,
         fresh = training or nc._active_record() is not None
         embedded = None if fresh else model._signature_embedding()
         beta = route(x_norm, model.registry.gamma, model.gate, training, rng, embedded)
-    outputs = [forecast_batch(bb, x_norm) for bb in model.backbones]
-    mixed: Tensor | None = None
-    for m, out in enumerate(outputs):
-        term = nc.slice_axis(beta, 2, m, m + 1) * out
-        mixed = term if mixed is None else mixed + term
+    outputs = forecast_batch(model.backbone, x_norm)  # [K, B, C, H]
+    b, c, k = beta.shape
+    weights = nc.reshape(nc.transpose(beta, (2, 0, 1)), (k, b, c, 1))
+    mixed = nc.sum(weights * outputs, axis=0)
     y_hat = model.stationarizer.denormalize(mixed, mu, sigma)
     return ForwardResult(y_hat=y_hat, y_hat_norm=mixed, beta=beta,
-                         expert_outputs=outputs, x_norm=x_norm, mu=mu, sigma=sigma)
+                         outputs=outputs, x_norm=x_norm, mu=mu, sigma=sigma)
 
 
 @dataclass
@@ -245,23 +251,21 @@ def _require_finite(**quantities: float) -> None:
             raise NumericError(f"{name} is non-finite; aborting the run")
 
 
-def expert_signatures(model: DisenTSModel, fwd: ForwardResult) -> list[Tensor]:
-    """Each expert's least-squares signature over its top-k routed rows of the batch."""
-    batch, channels, _ = fwd.beta.shape
+def expert_signatures(model: DisenTSModel, fwd: ForwardResult) -> Tensor:
+    """Every expert's least-squares signature over its top-k routed rows of
+    the batch, as one [K, L, H] stack."""
+    batch, channels, n_experts = fwd.beta.shape
     lwa = model.config.lwa
     k = effective_top_k(lwa, batch * channels, model.config.backbone.lookback)
-    signatures = []
-    for m, out in enumerate(fwd.expert_outputs):
-        x_hat, f_hat = select_top_k(fwd.beta, fwd.x_norm, out, m, k)
-        signatures.append(approximate(x_hat, f_hat, lwa.rcond))
-    return signatures
+    x_hat, f_hat = select_top_k(fwd.beta, fwd.x_norm, fwd.outputs, np.arange(n_experts), k)
+    return approximate(x_hat, f_hat, lwa.rcond)
 
 
-def signature_errors(fwd: ForwardResult, signatures: list[Tensor]) -> list[float]:
+def signature_errors(fwd: ForwardResult, signatures: Tensor) -> list[float]:
     """How well each signature mirrors its expert on every row of the batch."""
     rows = fwd.x_norm.data.reshape(-1, fwd.x_norm.shape[2])
-    return [signature_error(rows, out.data.reshape(rows.shape[0], -1), w.data)
-            for out, w in zip(fwd.expert_outputs, signatures)]
+    outputs = fwd.outputs.data.reshape(fwd.outputs.shape[0], rows.shape[0], -1)
+    return [float(e) for e in signature_error(rows, outputs, signatures.data)]
 
 
 def train_step(model: DisenTSModel, x: np.ndarray, y: np.ndarray,
@@ -278,15 +282,15 @@ def train_step(model: DisenTSModel, x: np.ndarray, y: np.ndarray,
             l_sc = similarity_constraint(signatures, model.registry.gamma, model.config.loss)
             total = total_loss(l_fc, l_sc, model.config.loss.sc_weight)
         else:
-            signatures, l_sc, total = [], nc.constant(0.0), l_fc
+            signatures, l_sc, total = None, nc.constant(0.0), l_fc
         _require_finite(l_fc=l_fc.item(), l_sc=l_sc.item(), total=total.item())
         backward(total)
     params = [t for _, t in model.named_parameters()]
     model._version += 1
     adam_step(params, [p.grad for p in params], opt)
-    epsilons = signature_errors(fwd, signatures)
-    for m, w in enumerate(signatures):
-        model.registry.update(m, w.data)  # EMA last, after the optimizer step
+    epsilons = [] if signatures is None else signature_errors(fwd, signatures)
+    for m, w in enumerate(() if signatures is None else signatures.data):
+        model.registry.update(m, w)  # EMA last, after the optimizer step
     model.step_count += 1
     return StepReport(l_fc=l_fc.item(), l_sc=l_sc.item(), total=total.item(), epsilons=epsilons)
 

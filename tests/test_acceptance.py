@@ -244,15 +244,15 @@ def test_criterion_3_signature_recovery():
     lookback, horizon = 24, 12
     k = 2 * lookback
     rng = np.random.default_rng(5)
-    backbone = Backbone(BackboneConfig("linear", lookback, horizon), init_rng(9))
+    backbone = Backbone(BackboneConfig("linear", lookback, horizon), 1, init_rng(9))
     planted = rng.normal(0.0, 0.5, size=(lookback, horizon))
-    backbone.params["w"] = nc.parameter(planted.copy())
-    backbone.params["b"] = nc.parameter(np.zeros(horizon))
+    backbone.params["w"] = nc.parameter(planted.copy()[None])
+    backbone.params["b"] = nc.parameter(np.zeros((1, horizon)))
     x = rng.normal(size=(20, 3, lookback))  # pool of 60 rows, k = 48
     outputs = forecast_batch(backbone, nc.constant(x))
     beta = nc.constant(rng.uniform(size=(20, 3, 1)))
-    x_hat, f_hat = select_top_k(beta, nc.constant(x), outputs, 0, k)
-    w = approximate(x_hat, f_hat).data
+    x_hat, f_hat = select_top_k(beta, nc.constant(x), outputs, np.arange(1), k)
+    w = approximate(x_hat, f_hat).data[0]
     rel = float(np.linalg.norm(w - planted) / np.linalg.norm(planted))
     elapsed = time.perf_counter() - started
     ok = rel <= 1e-5 and elapsed < 5.0
@@ -316,7 +316,7 @@ def test_criterion_5_closed_form_losses():
     rng = np.random.default_rng(3)
 
     single = similarity_constraint(
-        [nc.constant(rng.normal(size=(lookback, horizon)))],
+        nc.constant(rng.normal(size=(1, lookback, horizon))),
         rng.normal(size=(1, lookback, horizon)),
         config,
     ).item()
@@ -325,7 +325,7 @@ def test_criterion_5_closed_form_losses():
     for k in (2, 3, 5):
         w = rng.normal(size=(lookback, horizon))
         value = similarity_constraint(
-            [nc.constant(w.copy()) for _ in range(k)],
+            nc.constant(np.stack([w.copy()] * k)),
             np.stack([w.copy()] * k),
             config,
         ).item()
@@ -336,7 +336,7 @@ def test_criterion_5_closed_form_losses():
     b = np.zeros((2, 2))
     b[0, 1] = 1.0  # unit-norm, mutually orthogonal pair
     pair = similarity_constraint(
-        [nc.constant(a), nc.constant(b)], np.stack([a, b]), config
+        nc.constant(np.stack([a, b])), np.stack([a, b]), config
     ).item()
     pair_err = abs(pair - 2.0 * math.log(1.0 + math.exp(-1.0)))
 

@@ -13,7 +13,7 @@ from disents.numcore import Tensor, grad_check
 
 
 def build(kind, lookback=8, horizon=4, seed=0, **kw):
-    return Backbone(BackboneConfig(kind, lookback, horizon, **kw), np.random.default_rng(seed))
+    return Backbone(BackboneConfig(kind, lookback, horizon, **kw), 1, np.random.default_rng(seed))
 
 
 def test_config_validation():
@@ -31,20 +31,20 @@ def test_config_validation():
 
 def test_linear_identity_and_bias():
     bb = build("linear", lookback=4, horizon=4)
-    bb.params["w"].data = np.eye(4)
-    bb.params["b"].data = np.zeros(4)
+    bb.params["w"].data = np.eye(4)[None]
+    bb.params["b"].data = np.zeros((1, 4))
     x = np.random.default_rng(1).normal(size=(3, 4))
-    assert np.array_equal(forecast_rows(bb, x).data, x)
-    bb.params["w"].data = np.zeros((4, 4))
-    bb.params["b"].data = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(forecast_rows(bb, x).data, np.tile([1.0, 2.0, 3.0, 4.0], (3, 1)))
+    assert np.array_equal(forecast_rows(bb, x).data[0], x)
+    bb.params["w"].data = np.zeros((1, 4, 4))
+    bb.params["b"].data = np.array([[1.0, 2.0, 3.0, 4.0]])
+    assert np.array_equal(forecast_rows(bb, x).data[0], np.tile([1.0, 2.0, 3.0, 4.0], (3, 1)))
 
 
 def test_linear_matches_manual_numpy():
     bb = build("linear", lookback=6, horizon=3, seed=5)
     x = np.random.default_rng(2).normal(size=(7, 6))
-    manual = x @ bb.params["w"].data + bb.params["b"].data
-    assert np.allclose(forecast_rows(bb, x).data, manual, atol=1e-15)
+    manual = x @ bb.params["w"].data[0] + bb.params["b"].data[0]
+    assert np.allclose(forecast_rows(bb, x).data[0], manual, atol=1e-15)
 
 
 def test_moving_average_matrix_properties():
@@ -64,17 +64,17 @@ def test_decomp_constant_series_oracle():
     x = np.full((2, 8), c)
     # trend == c everywhere, seasonal == 0, so the output reduces to
     # c * column-sums of the trend head plus both biases
-    expect = c * bb.params["trend_w"].data.sum(axis=0) + bb.params["trend_b"].data \
-        + bb.params["seasonal_b"].data
-    assert np.allclose(forecast_rows(bb, x).data, expect, atol=1e-12)
+    expect = c * bb.params["trend_w"].data[0].sum(axis=0) + bb.params["trend_b"].data[0] \
+        + bb.params["seasonal_b"].data[0]
+    assert np.allclose(forecast_rows(bb, x).data[0], expect, atol=1e-12)
 
 
 def test_decomp_kernel_one_degenerates_to_trend_only():
     bb = build("decomp-linear", lookback=8, horizon=4, seed=4, decomp_kernel=1)
     x = np.random.default_rng(3).normal(size=(5, 8))
-    expect = x @ bb.params["trend_w"].data + bb.params["trend_b"].data \
-        + bb.params["seasonal_b"].data  # seasonal part sees exact zeros
-    assert np.allclose(forecast_rows(bb, x).data, expect, atol=1e-12)
+    expect = x @ bb.params["trend_w"].data[0] + bb.params["trend_b"].data[0] \
+        + bb.params["seasonal_b"].data[0]  # seasonal part sees exact zeros
+    assert np.allclose(forecast_rows(bb, x).data[0], expect, atol=1e-12)
 
 
 def test_decomp_matches_manual_numpy():
@@ -83,18 +83,18 @@ def test_decomp_matches_manual_numpy():
     m = moving_average_matrix(12, 5)
     trend = x @ m
     seasonal = x - trend
-    manual = trend @ bb.params["trend_w"].data + bb.params["trend_b"].data \
-        + seasonal @ bb.params["seasonal_w"].data + bb.params["seasonal_b"].data
-    assert np.allclose(forecast_rows(bb, x).data, manual, atol=1e-12)
+    manual = trend @ bb.params["trend_w"].data[0] + bb.params["trend_b"].data[0] \
+        + seasonal @ bb.params["seasonal_w"].data[0] + bb.params["seasonal_b"].data[0]
+    assert np.allclose(forecast_rows(bb, x).data[0], manual, atol=1e-12)
 
 
 def test_mlp_matches_manual_numpy():
     bb = build("mlp", lookback=6, horizon=3, seed=7, hidden=10)
     x = np.random.default_rng(5).normal(size=(4, 6))
-    pre = x @ bb.params["w1"].data + bb.params["b1"].data
+    pre = x @ bb.params["w1"].data[0] + bb.params["b1"].data[0]
     hidden = pre * 0.5 * (1.0 + erf(pre / np.sqrt(2.0)))
-    manual = hidden @ bb.params["w2"].data + bb.params["b2"].data
-    assert np.allclose(forecast_rows(bb, x).data, manual, atol=1e-12)
+    manual = hidden @ bb.params["w2"].data[0] + bb.params["b2"].data[0]
+    assert np.allclose(forecast_rows(bb, x).data[0], manual, atol=1e-12)
 
 
 def test_param_counts():
@@ -105,24 +105,24 @@ def test_param_counts():
 
 def test_init_statistics_and_distinct_seeds():
     bb = build("mlp", 32, 16, seed=0, hidden=64)
-    weights = np.concatenate([bb.params["w1"].data.ravel(), bb.params["w2"].data.ravel()])
+    weights = np.concatenate([bb.params["w1"].data[0].ravel(), bb.params["w2"].data[0].ravel()])
     assert 0.015 <= weights.std() <= 0.025
     assert abs(weights.mean()) <= 0.005
-    assert np.array_equal(bb.params["b1"].data, np.zeros(64))
+    assert np.array_equal(bb.params["b1"].data[0], np.zeros(64))
     other = build("mlp", 32, 16, seed=1, hidden=64)
-    assert not np.array_equal(bb.params["w1"].data, other.params["w1"].data)
+    assert not np.array_equal(bb.params["w1"].data[0], other.params["w1"].data[0])
     again = build("mlp", 32, 16, seed=0, hidden=64)
-    assert np.array_equal(bb.params["w1"].data, again.params["w1"].data)
+    assert np.array_equal(bb.params["w1"].data[0], again.params["w1"].data[0])
 
 
 def test_batch_equals_per_row_loop():
     for kind in ("linear", "decomp-linear", "mlp"):
         bb = build(kind, lookback=8, horizon=4, seed=9, decomp_kernel=3)
         x = np.random.default_rng(6).normal(size=(3, 5, 8))
-        batched = forecast_batch(bb, x).data
+        batched = forecast_batch(bb, x).data[0]
         for b in range(3):
             for c in range(5):
-                row = forecast_rows(bb, x[b, c][None, :]).data[0]
+                row = forecast_rows(bb, x[b, c][None, :]).data[0, 0]
                 assert np.abs(batched[b, c] - row).max() <= 1e-12
 
 
@@ -130,8 +130,8 @@ def test_channel_permutation_equivariance():
     bb = build("linear", lookback=8, horizon=4, seed=10)
     x = np.random.default_rng(7).normal(size=(2, 6, 8))
     perm = np.random.default_rng(8).permutation(6)
-    direct = forecast_batch(bb, x[:, perm]).data
-    permuted = forecast_batch(bb, x).data[:, perm]
+    direct = forecast_batch(bb, x[:, perm]).data[0]
+    permuted = forecast_batch(bb, x).data[0][:, perm]
     assert np.array_equal(direct, permuted)
 
 

@@ -50,6 +50,35 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(model.predict(x), loaded.predict(x))
 
 
+def test_manifest_lists_every_expert_array_by_name_and_order(tmp_path):
+    """The experts run as one stack, but a checkpoint still holds one array
+    per expert and parameter, named and ordered as below, in its own shape."""
+    model = trained_model(n_experts=3)
+    save_model(model, tmp_path)
+    entries = json.loads((tmp_path / MANIFEST).read_text())["arrays"]
+    per_expert = ["trend_w", "trend_b", "seasonal_w", "seasonal_b"]
+    assert [e["name"] for e in entries] == [
+        "expert0.trend_w", "expert0.trend_b", "expert0.seasonal_w", "expert0.seasonal_b",
+        "expert1.trend_w", "expert1.trend_b", "expert1.seasonal_w", "expert1.seasonal_b",
+        "expert2.trend_w", "expert2.trend_b", "expert2.seasonal_w", "expert2.seasonal_b",
+        "gate.w_in", "gate.sig_w1", "gate.sig_b1", "gate.sig_w2", "gate.sig_b2",
+        "gate.attn_wq", "gate.attn_wk", "gate.attn_wv", "gate.attn_wo",
+        "gate.ffn_w1", "gate.ffn_b1", "gate.ffn_w2", "gate.ffn_b2",
+        "gate.ln1_gain", "gate.ln1_bias", "gate.ln2_gain", "gate.ln2_bias", "gate.w_out",
+        "registry.gamma0", "registry.gamma1", "registry.gamma2",
+    ]
+    shapes = {e["name"]: e["shape"] for e in entries}
+    for m in range(3):
+        assert [shapes[f"expert{m}.{key}"] for key in per_expert] == [[12, 6], [6], [12, 6], [6]]
+    loaded = load_model(tmp_path)
+    theirs = loaded.arrays()
+    for name, ours in model.arrays().items():
+        assert ours.tobytes() == theirs[name].tobytes(), name
+    for key in per_expert:
+        stack = loaded.backbone.params[key].data
+        assert stack.tobytes() == model.backbone.params[key].data.tobytes(), key
+
+
 def test_save_is_idempotent(tmp_path):
     model = trained_model()
     save_model(model, tmp_path / "a")

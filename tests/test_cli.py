@@ -180,6 +180,25 @@ def test_config_errors_exit_2(workspace, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_synth_out_under_a_file_exits_2(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    assert main(["synth", "--out", str(afile / "sub"), "--length", "200",
+                 "--channels-per-group", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(afile / "sub") in err
+
+
+def test_train_out_naming_a_file_exits_2(workspace, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    assert main(["train", "--dataset", str(workspace["csv"]), "--out", str(afile),
+                 *TRAIN_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(afile) in err
+    assert afile.read_text() == "not a directory"
+
+
 def test_bad_thread_count_exits_2_before_reading_data(workspace, tmp_path, monkeypatch, capsys):
     def unread(path):
         raise AssertionError(f"read {path} despite a bad DISENTS_THREADS")

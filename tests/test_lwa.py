@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import disents.numcore as nc
-from disents.backbones import Backbone, BackboneConfig
 from disents.errors import ConfigError, ContractError, ShapeError
-from disents.lwa import (EmaRegistry, LwaConfig, approximate, approximation_error,
-                         effective_top_k, select_top_k, signature_error)
+from disents.lwa import (EmaRegistry, LwaConfig, approximate, effective_top_k, select_top_k,
+                         signature_error)
 from disents.numcore import Tensor, backward, grad_check, recording
 
 
@@ -78,6 +77,32 @@ def test_selected_forecasts_keep_gradient_linkage():
     x_hat, _ = select_top_k(Tensor(beta), Tensor(np.zeros((2, 2, 4))), Tensor(np.ones((2, 2, 3))),
                             expert=0, k=2)
     assert not x_hat.requires_grad
+
+
+def test_select_top_k_over_every_expert_equals_one_call_per_expert():
+    rng = np.random.default_rng(18)
+    beta = rng.dirichlet(np.ones(3), size=(4, 5))  # [B, C, K]
+    beta[1, 2] = beta[3, 4] = beta[0, 0]  # ties
+    x = Tensor(rng.normal(size=(4, 5, 6)))
+    stack = rng.normal(size=(3, 4, 5, 2))
+    weights = rng.normal(size=(3, 7, 2))
+    with recording():
+        y = nc.parameter(stack)
+        x_hat, f_hat = select_top_k(Tensor(beta), x, y, np.arange(3), k=7)
+        backward(nc.sum(nc.multiply(f_hat, weights)))
+    assert x_hat.shape == (3, 7, 6) and f_hat.shape == (3, 7, 2)
+    for m in range(3):
+        with recording():
+            y_m = nc.parameter(stack[m])
+            x_m, f_m = select_top_k(Tensor(beta), x, y_m, m, k=7)
+            backward(nc.sum(nc.multiply(f_m, weights[m])))
+        assert np.array_equal(x_hat.data[m], x_m.data)
+        assert np.array_equal(f_hat.data[m], f_m.data)
+        assert np.array_equal(y.grad[m], y_m.grad)
+    with pytest.raises(ContractError):
+        select_top_k(Tensor(beta), x, Tensor(stack), np.arange(4), k=7)  # no expert 3
+    with pytest.raises(ShapeError):
+        select_top_k(Tensor(beta), x, Tensor(stack[:2]), np.arange(3), k=7)
 
 
 def test_approximate_recovers_a_planted_linear_map():
@@ -179,16 +204,6 @@ def test_registry_errors():
         reg.update(2, np.zeros((3, 3)))
     with pytest.raises(ShapeError):
         reg.update(0, np.zeros((3, 4)))
-
-
-def test_signature_error_vanishes_for_exact_linear_experts():
-    rng = np.random.default_rng(16)
-    bb = Backbone(BackboneConfig("linear", 6, 3), rng)
-    bb.params["b"].data = np.zeros(3)  # bias-free linear expert is exactly its W
-    x = rng.normal(size=(12, 6))
-    assert approximation_error(bb, x, bb.params["w"].data) <= 1e-28
-    w_noisy = bb.params["w"].data + 0.1
-    assert approximation_error(bb, x, w_noisy) > 1e-4
 
 
 def test_signature_error_formula():

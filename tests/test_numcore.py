@@ -149,6 +149,25 @@ def test_gather_rows_accumulates_duplicates():
     assert np.array_equal(x.grad, expected)
 
 
+def test_gather_rows_of_a_stack_gathers_each_matrix_on_its_own():
+    data = rand((3, 5, 2), 30)
+    idx = np.array([[4, 0], [1, 1], [2, 4]])
+    weights = rand((3, 2, 2), 31)
+    with recording():
+        x = nc.parameter(data)
+        picked = nc.gather_rows(x, idx)
+        backward(nc.sum(nc.multiply(picked, weights)))
+    expected = np.zeros((3, 5, 2))
+    for m in range(3):
+        assert np.array_equal(picked.data[m], data[m][idx[m]])
+        np.add.at(expected[m], idx[m], weights[m])
+    assert np.array_equal(x.grad, expected)
+    with pytest.raises(ShapeError):
+        nc.gather_rows(x, idx[:2])  # one index row per matrix
+    with pytest.raises(ShapeError):
+        nc.gather_rows(nc.constant(np.ones(4)), [0])
+
+
 def test_reductions_match_numpy():
     data = rand((3, 4, 5), 4)
     assert np.allclose(nc.mean(Tensor(data), axis=1).data, data.mean(axis=1))
@@ -356,6 +375,19 @@ def test_pinv_is_a_gradient_barrier():
     assert len(rec) == 0
 
 
+def test_pinv_of_a_stack_equals_a_pinv_per_matrix():
+    rng = np.random.default_rng(23)
+    tall = rng.normal(size=(4, 9, 5))
+    tall[2] = rng.normal(size=(9, 2)) @ rng.normal(size=(2, 5))  # rank 2
+    tall[3, :5] = np.diag([1.0, 1e-9, 2.0, 3.0, 1e-3])  # one singular value cut
+    tall[3, 5:] = 0.0
+    for stack in (tall, np.swapaxes(tall, 1, 2), tall[:, :5]):
+        out = pinv(stack).data
+        assert out.shape == stack.shape[:-2] + stack.shape[:-3:-1]
+        for m in range(stack.shape[0]):
+            assert out[m].tobytes() == pinv(stack[m]).data.tobytes(), m
+
+
 def test_pinv_errors():
     with pytest.raises(NumericError):
         pinv(np.array([[1.0, np.nan], [0.0, 1.0]]))
@@ -439,7 +471,7 @@ def test_blocked_adam_matches_whole_array_formula(shape, transposed_grad):
 def test_blocked_adam_updates_a_transposed_parameter_in_place():
     model = DisenTSModel(ModelConfig(n_experts=1, backbone=BackboneConfig("linear", 200, 100)))
     base = np.random.default_rng(41).normal(size=(100, 200))
-    model.set_parameter("expert0.w", Tensor(base.T, requires_grad=True))
+    model.set_parameter("experts.w", Tensor(base.T[None], requires_grad=True))
     params = [t for _, t in model.named_parameters()]
     assert not params[0].data.flags.c_contiguous and params[0].size > ADAM_BLOCK
     refs = [(t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for t in params]
@@ -451,7 +483,7 @@ def test_blocked_adam_updates_a_transposed_parameter_in_place():
         for (p, m, v), g in zip(refs, grads):
             whole_array_adam(p, g, m, v, step, lr=1e-2)
     assert params[0].data.base is base
-    assert same_bits(base.T, refs[0][0])
+    assert same_bits(base.T[None], refs[0][0])
     for t, (p, _, _) in zip(params, refs):
         assert same_bits(t.data, p)
 
@@ -506,16 +538,6 @@ def test_seeded_ops_are_deterministic():
         return nc.dropout(out, 0.3, training=True, rng=rng).data
 
     assert np.array_equal(run(), run())
-
-
-def test_detach_cuts_linkage():
-    with recording():
-        x = nc.parameter([1.0, 2.0])
-        d = nc.detach(nc.multiply(x, 3.0))
-        assert not d.requires_grad
-        loss = nc.sum(nc.multiply(x, 1.0))
-        backward(loss)
-    assert np.array_equal(x.grad, [1.0, 1.0])
 
 
 def test_backward_counts_the_tape_and_replays_it_once():
@@ -573,7 +595,7 @@ def test_backward_leaves_grad_on_leaves_only():
         _ = nc.multiply(stray, 2.0)  # recorded, never reaches the loss
         loss = mse_loss(fwd.y_hat, nc.constant(y))
         backward(loss)
-    outputs = [loss, fwd.y_hat, fwd.y_hat_norm, fwd.beta, *fwd.expert_outputs]
+    outputs = [loss, fwd.y_hat, fwd.y_hat_norm, fwd.beta, fwd.outputs]
     assert all(t.requires_grad and t.grad is None for t in outputs)
     assert all(p.grad is not None for _, p in model.named_parameters())
     assert np.array_equal(stray.grad, np.zeros(3))

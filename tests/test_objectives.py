@@ -38,7 +38,7 @@ def test_mse_loss_gradient():
 
 
 def test_single_expert_needs_no_separation():
-    sigs = [Tensor(np.random.default_rng(1).normal(size=(6, 3)))]
+    sigs = Tensor(np.random.default_rng(1).normal(size=(1, 6, 3)))
     out = similarity_constraint(sigs, np.zeros((1, 6, 3)), LossConfig())
     assert out.data == 0.0
     assert not out.requires_grad
@@ -48,7 +48,7 @@ def test_identical_signatures_hit_the_uniform_ceiling():
     rng = np.random.default_rng(2)
     w = rng.normal(size=(5, 4))
     for k in (2, 3, 5):
-        sigs = [Tensor(w.copy()) for _ in range(k)]
+        sigs = Tensor(np.stack([w] * k))
         gamma = np.stack([w] * k)
         out = similarity_constraint(sigs, gamma, LossConfig(tau=0.1))
         assert abs(out.data - k * math.log(k)) <= 1e-6
@@ -61,7 +61,7 @@ def test_orthogonal_pair_closed_form():
     b = np.zeros((2, 2))
     a[0, 0] = 1.0
     b[1, 1] = 1.0
-    sigs = [Tensor(a), Tensor(b)]
+    sigs = Tensor(np.stack([a, b]))
     out = similarity_constraint(sigs, np.stack([a, b]), LossConfig(tau=1.0))
     expected = 2.0 * math.log(1.0 + math.exp(-1.0))
     assert abs(out.data - expected) <= 1e-9
@@ -70,7 +70,7 @@ def test_orthogonal_pair_closed_form():
 def test_sharper_temperature_rewards_separation_more():
     rng = np.random.default_rng(3)
     w1, w2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    sigs = [Tensor(w1), Tensor(w2)]
+    sigs = Tensor(np.stack([w1, w2]))
     gamma = np.stack([w1, w2])
     warm = similarity_constraint(sigs, gamma, LossConfig(tau=1.0)).data
     sharp = similarity_constraint(sigs, gamma, LossConfig(tau=0.1)).data
@@ -79,7 +79,7 @@ def test_sharper_temperature_rewards_separation_more():
 
 def test_raw_mode_skips_normalization_and_temperature():
     rng = np.random.default_rng(4)
-    sigs = [Tensor(rng.normal(size=(3, 3))) for _ in range(2)]
+    sigs = Tensor(rng.normal(size=(2, 3, 3)))
     gamma = rng.normal(size=(2, 3, 3))
     raw_small_tau = similarity_constraint(sigs, gamma, LossConfig(tau=0.01, normalize_sims=False))
     raw_large_tau = similarity_constraint(sigs, gamma, LossConfig(tau=10.0, normalize_sims=False))
@@ -92,9 +92,9 @@ def test_joint_permutation_invariance():
     rng = np.random.default_rng(5)
     sigs = [rng.normal(size=(4, 2)) for _ in range(3)]
     gamma = rng.normal(size=(3, 4, 2))
-    base = similarity_constraint([Tensor(s) for s in sigs], gamma, LossConfig()).data
+    base = similarity_constraint(Tensor(np.stack(sigs)), gamma, LossConfig()).data
     order = [2, 0, 1]
-    shuffled = similarity_constraint([Tensor(sigs[i]) for i in order], gamma[order],
+    shuffled = similarity_constraint(Tensor(np.stack([sigs[i] for i in order])), gamma[order],
                                      LossConfig()).data
     assert abs(base - shuffled) <= 1e-12
 
@@ -103,14 +103,14 @@ def test_gradient_reaches_signatures_but_not_registry():
     rng = np.random.default_rng(6)
     gamma = rng.normal(size=(2, 4, 3))
     with recording():
-        s0 = nc.parameter(rng.normal(size=(4, 3)))
-        s1 = nc.parameter(rng.normal(size=(4, 3)))
-        backward(similarity_constraint([s0, s1], gamma, LossConfig()))
-    assert s0.grad is not None and np.abs(s0.grad).max() > 0.0
-    assert s1.grad is not None
+        s = nc.parameter(rng.normal(size=(2, 4, 3)))  # s[0], s[1]: the two signatures
+        backward(similarity_constraint(s, gamma, LossConfig()))
+    assert s.grad is not None and np.abs(s.grad[0]).max() > 0.0
+    assert s.grad.shape == s.shape  # s[1] gets its adjoint too
 
     def f(t):
-        return similarity_constraint([t, nc.constant(gamma[1])], gamma, LossConfig())
+        stack = nc.concat([nc.reshape(t, (1, 4, 3)), nc.constant(gamma[1:])])
+        return similarity_constraint(stack, gamma, LossConfig())
 
     assert grad_check(f, Tensor(rng.normal(size=(4, 3)))) <= 1e-4
 
@@ -118,12 +118,11 @@ def test_gradient_reaches_signatures_but_not_registry():
 def test_zero_signature_stays_finite():
     gamma = np.random.default_rng(7).normal(size=(2, 3, 2))
     with recording():
-        s0 = nc.parameter(np.zeros((3, 2)))
-        s1 = nc.parameter(gamma[1].copy())
-        loss = similarity_constraint([s0, s1], gamma, LossConfig())
+        s = nc.parameter(np.stack([np.zeros((3, 2)), gamma[1]]))  # s[0] is all zeros
+        loss = similarity_constraint(s, gamma, LossConfig())
         backward(loss)
     assert np.isfinite(loss.data)
-    assert np.isfinite(s0.grad).all()
+    assert np.isfinite(s.grad[0]).all()
 
 
 def test_total_loss_arithmetic():

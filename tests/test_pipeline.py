@@ -3,9 +3,11 @@ mixture algebra, step ordering, determinism, early stopping, and the
 single-expert step pairing exactly with a plain single-backbone step."""
 
 import json
+import math
 import os
 import sys
 import threading
+from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
 
@@ -13,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 import disents.numcore as nc
-from disents import gating
-from disents.backbones import Backbone, BackboneConfig, forecast_batch
+from disents import gating, pipeline
+from disents.backbones import KINDS, Backbone, BackboneConfig, forecast_batch, moving_average_matrix
 from disents.datakit import (WindowedData, WindowSpec, default_two_group, make_windows,
                              split_standardize, synth_generate)
 from disents.checkpoint import load_model, save_model
@@ -24,7 +27,7 @@ from disents.errors import ConfigError, ContractError, NumericError, ShapeError
 from disents.gating import GateConfig, route
 from disents.lwa import LwaConfig, approximate, effective_top_k, select_top_k
 from disents.numcore import AdamState, adam_step, backward, recording
-from disents.objectives import LossConfig, mse_loss
+from disents.objectives import LossConfig, mse_loss, similarity_constraint, total_loss
 from disents.pipeline import (DisenTSModel, ModelConfig, Stationarizer, TrainConfig, evaluate,
                               fit, forward, init_rng, mean_routing, train_rng, train_step)
 
@@ -98,7 +101,7 @@ def test_forward_shapes_and_mixture_bounds():
     assert fwd.y_hat.shape == (5, 4, 6)
     assert fwd.beta.shape == (5, 4, 3)
     assert np.abs(fwd.beta.data.sum(axis=2) - 1.0).max() <= 1e-12
-    stack = np.stack([o.data for o in fwd.expert_outputs])  # [K, B, C, H]
+    stack = fwd.outputs.data  # [K, B, C, H]
     assert (fwd.y_hat_norm.data >= stack.min(axis=0) - 1e-12).all()
     assert (fwd.y_hat_norm.data <= stack.max(axis=0) + 1e-12).all()
 
@@ -108,19 +111,18 @@ def test_single_expert_forward_is_the_wrapped_backbone():
     x = np.random.default_rng(3).normal(size=(4, 2, 12))
     st = Stationarizer()
     xn, mu, sigma = st.normalize(x)
-    direct = forecast_batch(model.backbones[0], nc.constant(xn)).data
+    direct = forecast_batch(model.backbone, nc.constant(xn)).data[0]
     expected = direct * (sigma + st.eps_norm) + mu
     assert np.array_equal(forward(model, x).y_hat.data, expected)
 
 
 def test_identical_experts_collapse_to_one():
     model = DisenTSModel(small_config(3), seed=4)
-    for bb in model.backbones[1:]:
-        for name, t in model.backbones[0].params.items():
-            bb.params[name].data = t.data.copy()
+    for t in model.backbone.params.values():
+        t.data[1:] = t.data[0]
     x = np.random.default_rng(4).normal(size=(3, 2, 12))
     fwd = forward(model, x)
-    solo = forecast_batch(model.backbones[0], fwd.x_norm).data
+    solo = forecast_batch(model.backbone, fwd.x_norm).data[0]
     assert np.abs(fwd.y_hat_norm.data - solo).max() <= 1e-12
 
 
@@ -132,10 +134,122 @@ def test_forward_matches_manual_composition():
     st = model.stationarizer
     xn, mu, sigma = st.normalize(x)
     beta = route(nc.constant(xn), model.registry.gamma, model.gate, False, None).data
-    outs = [forecast_batch(bb, nc.constant(xn)).data for bb in model.backbones]
+    outs = forecast_batch(model.backbone, nc.constant(xn)).data
     mixed = sum(beta[:, :, m:m + 1] * outs[m] for m in range(2))
     expected = mixed * (sigma + st.eps_norm) + mu
     assert np.abs(forward(model, x).y_hat.data - expected).max() <= 1e-12
+
+
+def _kind_config(kind, k):
+    return replace(small_config(k), backbone=BackboneConfig(kind, 12, 6, hidden=8, decomp_kernel=5))
+
+
+def _numpy_expert(kind, p, m, rows):
+    """Expert m's forecasts of rows [R, L], in plain NumPy, one expert alone."""
+    if kind == "linear":
+        return rows @ p["w"][m] + p["b"][m]
+    if kind == "decomp-linear":
+        trend = rows @ moving_average_matrix(rows.shape[1], 5)
+        return (trend @ p["trend_w"][m] + p["trend_b"][m]) + (
+            (rows - trend) @ p["seasonal_w"][m] + p["seasonal_b"][m])
+    pre = rows @ p["w1"][m] + p["b1"][m]
+    hidden = pre * ((erf(pre * (1.0 / math.sqrt(2.0))) + 1.0) * 0.5)
+    return hidden @ p["w2"][m] + p["b2"][m]
+
+
+def _taped_expert(kind, leaves, rows):
+    """The same forecasts on the tape, from one expert's own parameter tensors."""
+    x = nc.constant(rows)
+    if kind == "linear":
+        return nc.matmul(x, leaves["w"]) + leaves["b"]
+    if kind == "decomp-linear":
+        trend = nc.matmul(x, nc.constant(moving_average_matrix(rows.shape[1], 5)))
+        return (nc.matmul(trend, leaves["trend_w"]) + leaves["trend_b"]) + (
+            nc.matmul(x - trend, leaves["seasonal_w"]) + leaves["seasonal_b"])
+    hidden = nc.gelu(nc.matmul(x, leaves["w1"]) + leaves["b1"])
+    return nc.matmul(hidden, leaves["w2"]) + leaves["b2"]
+
+
+@pytest.mark.parametrize("k", [3, 8])
+@pytest.mark.parametrize("kind", KINDS)
+def test_expert_stack_equals_a_per_expert_loop_bit_for_bit(kind, k):
+    """The stacked experts give exactly the numbers of one expert at a time:
+    forecasts, the mix and the signatures against a NumPy loop, and the
+    weight and bias adjoints of an MSE + contrast loss against the same loss
+    taped expert by expert."""
+    cfg = _kind_config(kind, k)
+    model = DisenTSModel(cfg, seed=23)
+    rng = np.random.default_rng(23)
+    x, y = rng.normal(size=(8, 4, 12)), rng.normal(size=(8, 4, 6))
+    gamma = model.registry.gamma
+    stacks = model.backbone.params
+    for t in stacks.values():  # biases start at zero; give every parameter a value
+        t.data[...] = rng.normal(0.0, 0.3, size=t.shape)
+    with recording():
+        fwd = forward(model, x)
+        signatures = pipeline.expert_signatures(model, fwd)
+        loss = total_loss(mse_loss(fwd.y_hat, nc.constant(y)),
+                          similarity_constraint(signatures, gamma, cfg.loss), 0.1)
+        backward(loss)
+
+    p = {key: t.data for key, t in stacks.items()}
+    beta, rows = fwd.beta.data, fwd.x_norm.data.reshape(32, 12)
+    pool_k = effective_top_k(cfg.lwa, 32, 12)
+    mixed = None
+    for m in range(k):
+        out = _numpy_expert(kind, p, m, rows)
+        assert fwd.outputs.data[m].tobytes() == out.reshape(8, 4, 6).tobytes(), m
+        term = beta[:, :, m:m + 1] * out.reshape(8, 4, 6)
+        mixed = term if mixed is None else mixed + term
+        order = np.argsort(-beta[:, :, m].reshape(32), kind="stable")[:pool_k]
+        w = nc.pinv(rows[order]).data @ out[order]
+        assert signatures.data[m].tobytes() == w.tobytes(), m
+    assert fwd.y_hat_norm.data.tobytes() == mixed.tobytes()
+
+    leaves = [{key: nc.parameter(t.data[m].copy()) for key, t in stacks.items()}
+              for m in range(k)]
+    with recording():
+        outs = [nc.reshape(_taped_expert(kind, leaves[m], rows), (8, 4, 6)) for m in range(k)]
+        mix = None
+        for m, out in enumerate(outs):
+            term = nc.slice_axis(nc.constant(beta), 2, m, m + 1) * out
+            mix = term if mix is None else mix + term
+        y_hat = model.stationarizer.denormalize(mix, fwd.mu, fwd.sigma)
+        sigs = []
+        for m, out in enumerate(outs):
+            order = np.argsort(-beta[:, :, m].reshape(32), kind="stable")[:pool_k]
+            f_hat = nc.gather_rows(nc.reshape(out, (32, 6)), order)
+            sigs.append(nc.matmul(nc.pinv(rows[order]), f_hat))
+        stack = nc.concat([nc.reshape(s, (1, 12, 6)) for s in sigs])
+        ref = total_loss(mse_loss(y_hat, nc.constant(y)),
+                         similarity_constraint(stack, gamma, cfg.loss), 0.1)
+        backward(ref)
+    assert loss.item() == ref.item()
+    for m in range(k):
+        for key, t in stacks.items():
+            assert t.grad[m].tobytes() == leaves[m][key].grad.tobytes(), (m, key)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_train_step_tape_does_not_grow_with_k(kind, monkeypatch):
+    records = []
+    real = pipeline.recording
+
+    @contextmanager
+    def kept(record=None):
+        with real(record) as rec:
+            records.append(rec)
+            yield rec
+
+    monkeypatch.setattr(pipeline, "recording", kept)
+    data = toy_windows(24, channels=4)
+    counts = []
+    for k in (2, 4, 8):
+        model = DisenTSModel(_kind_config(kind, k), seed=24)
+        opt = AdamState.for_params([t for _, t in model.named_parameters()], lr=1e-3)
+        train_step(model, data.train_x[:8], data.train_y[:8], opt, train_rng(24))
+        counts.append(len(records[-1]))
+    assert counts[0] == counts[1] == counts[2], counts
 
 
 def test_predict_eval_mode_is_deterministic():
@@ -153,29 +267,38 @@ def test_expert_zero_init_matches_baseline_backbone():
     baseline = DisenTSModel(small_config(1), seed=7)
     assert baseline.gate is None
     assert not [name for name, _ in baseline.named_parameters() if name.startswith("gate.")]
-    ours, theirs = model.backbones[0].params.items(), baseline.backbones[0].params.items()
+    ours, theirs = model.backbone.params.items(), baseline.backbone.params.items()
     assert [name for name, _ in ours] == [name for name, _ in theirs]
     for (name, a), (_, b) in zip(ours, theirs):
-        assert np.array_equal(a.data, b.data), name
+        assert np.array_equal(a.data[0], b.data[0]), name
 
 
 def test_arrays_and_set_parameter_share_one_set_of_names():
     model = DisenTSModel(small_config(2), seed=0)
     params = model.named_parameters()
     arrays = model.arrays()
-    assert list(arrays) == [name for name, _ in params] + ["registry.gamma0", "registry.gamma1"]
-    assert all(arrays[name] is t.data for name, t in params)
+    gate = [name for name, _ in params if name.startswith("gate.")]
+    assert [name for name, _ in params] == ["experts.w", "experts.b"] + gate
+    assert list(arrays) == (["expert0.w", "expert0.b", "expert1.w", "expert1.b"] + gate
+                            + ["registry.gamma0", "registry.gamma1"])
+    assert all(arrays[name] is t.data for name, t in params if name in gate)
+    stacks = model.backbone.params
+    for m in range(2):  # each expert's arrays are views into the stacks
+        assert all(arrays[f"expert{m}.{key}"].base is stacks[key].data for key in stacks)
+    arrays["expert1.b"][...] = 3.0
+    assert (stacks["b"].data[1] == 3.0).all() and (stacks["b"].data[0] == 0.0).all()
     arrays["registry.gamma1"][...] = 5.0  # the registry entries are views
     assert (model.registry.gamma[1] == 5.0).all()
     single = DisenTSModel(small_config(1), seed=0)
     for target, name in [(model, "expert2.w"), (model, "expertX.w"), (model, "expert01.w"),
                          (model, "expert0.nope"), (model, "gate.nope"), (model, "bogus.w"),
-                         (model, "expert0"), (single, "gate.w_in")]:
+                         (model, "expert0"), (model, "expert0.w"), (model, "experts.nope"),
+                         (single, "gate.w_in")]:
         with pytest.raises(ContractError, match="unknown parameter"):
             target.set_parameter(name, nc.constant(np.zeros(1)))
-    replacement = nc.parameter(np.zeros((12, 6)))
-    model.set_parameter("expert1.w", replacement)
-    assert model.backbones[1].params["w"] is replacement
+    replacement = nc.parameter(np.zeros((2, 12, 6)))
+    model.set_parameter("experts.w", replacement)
+    assert model.backbone.params["w"] is replacement
 
 
 def test_train_step_updates_everything_in_order():
@@ -262,7 +385,7 @@ def test_first_step_registry_equals_batch_signature():
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_nonfinite_loss_is_named_and_leaves_state_alone():
     model = DisenTSModel(small_config(2), seed=12)
-    model.backbones[0].params["w"].data[:] = 1e200  # forecast squares to inf
+    model.backbone.params["w"].data[0] = 1e200  # forecast squares to inf
     data = toy_windows(12)
     opt = AdamState.for_params([t for _, t in model.named_parameters()], lr=1e-3)
     with pytest.raises(NumericError, match="l_fc"):
@@ -383,7 +506,7 @@ def test_single_expert_run_pairs_with_unified_baseline():
     cfg = ModelConfig(n_experts=1, backbone=BackboneConfig("linear", 12, 6))
     assert cfg.gate.dropout == 0.1
     model = DisenTSModel(cfg, seed=19)
-    backbone = Backbone(cfg.backbone, init_rng(19))
+    backbone = Backbone(cfg.backbone, 1, init_rng(19))
     params = [t for _, t in model.named_parameters()]
     plain = [t for _, t in backbone.params.items()]
     assert len(params) == len(plain)
@@ -396,7 +519,7 @@ def test_single_expert_run_pairs_with_unified_baseline():
         report = train_step(model, x, y, opt, rng)
         with recording():
             xn, mu, sigma = st.normalize(x)
-            out = forecast_batch(backbone, nc.constant(xn))
+            out = nc.reshape(forecast_batch(backbone, nc.constant(xn)), y.shape)
             l_fc = mse_loss(st.denormalize(out, mu, sigma), nc.constant(y))
             backward(l_fc)
         adam_step(plain, [p.grad for p in plain], plain_opt)
