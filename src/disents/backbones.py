@@ -69,6 +69,7 @@ class Backbone:
     def __init__(self, config: BackboneConfig, n_experts: int, rng: np.random.Generator):
         if n_experts < 1:
             raise ConfigError(f"a backbone stack needs at least one expert, got {n_experts}")
+        require_integers(n_experts=n_experts)
         self.config = config
         self.n_experts = n_experts
         L, H, hidden = config.lookback, config.horizon, config.hidden
@@ -88,6 +89,7 @@ class Backbone:
 
     @property
     def param_count(self) -> int:
+        """Scalar parameters over all K experts, K times one expert's count."""
         return int(np.sum([t.size for t in self.params.values()]))
 
 

@@ -404,19 +404,19 @@ def slice_axis(t, axis: int, start: int, stop: int) -> Tensor:
 def gather_rows(t, indices) -> Tensor:
     """Select rows of a matrix, or rows of each matrix of a stack: `t` is
     [..., n, d] and `indices` [..., k] indexes the n rows of the matrix it
-    lines up with. Duplicate indices accumulate in the adjoint."""
+    lines up with, each matrix on its own: an index out of [-n, n) raises
+    IndexError and a negative one counts from the end of its own matrix.
+    Duplicate indices accumulate in the adjoint."""
     t = _lift(t)
     idx = np.asarray(indices, dtype=np.intp)
     if t.ndim < 2 or idx.shape[:-1] != t.shape[:-2] or idx.ndim < 1:
         raise ShapeError(f"gather_rows expects [..., n, d] data and [..., k] indices, "
                          f"got shapes {t.shape} and {idx.shape}")
-    n, d = t.shape[-2:]
-    flat = (idx + n * np.arange(idx[..., 0].size).reshape(idx.shape[:-1] + (1,))).reshape(-1)
-    out = t.data.reshape(-1, d)[flat].reshape(idx.shape + (d,))
+    out = np.take_along_axis(t.data, idx[..., np.newaxis], axis=-2)
 
     def backward(g):
         full = np.zeros(t.data.shape)
-        np.add.at(full.reshape(-1, d), flat, g.reshape(-1, d))
+        np.add.at(full, np.indices(idx.shape, sparse=True)[:-1] + (idx,), g)  # (matrix..., row)
         return (full,)
 
     return _record_op(out, (t,), backward)
@@ -726,12 +726,29 @@ class AdamState:
         return state
 
 
+def _adam_blocks(*arrays: Array):
+    """Matching views of the arrays in blocks of at most ADAM_BLOCK elements:
+    runs of leading-axis rows, and where one such row is longer than a block,
+    the blocks of each row in turn (a stack is blocked matrix by matrix)."""
+    if arrays[0].ndim == 0:
+        yield tuple(a[np.newaxis] for a in arrays)
+        return
+    row = math.prod(arrays[0].shape[1:])
+    if row > ADAM_BLOCK:
+        for i in range(arrays[0].shape[0]):
+            yield from _adam_blocks(*(a[i] for a in arrays))
+        return
+    rows_per_block = ADAM_BLOCK // max(row, 1)
+    for start in range(0, arrays[0].shape[0], rows_per_block):
+        yield tuple(a[start:start + rows_per_block] for a in arrays)
+
+
 def adam_step(params: Sequence[Tensor], grads: Sequence[Array | None], state: AdamState) -> None:
     """One bias-corrected Adam update, in place on the parameter data.
 
-    Each parameter is updated in blocks of leading-axis rows, about
-    ADAM_BLOCK elements each. A row slice is a view whatever the memory
-    layout, so every block writes into the parameter's own array. Each block
+    Each parameter is updated in blocks of at most ADAM_BLOCK elements (see
+    _adam_blocks). A row slice is a view whatever the memory layout, so
+    every block writes into the parameter's own array. Each block
     runs the elementwise ops of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
     p -= lr*(m/c1) / (sqrt(v/c2) + eps) in that order, so the result equals
     the whole-array update bit for bit without its full-size temporaries.
@@ -752,14 +769,7 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[Array | None], state: Ad
             raise ShapeError(
                 f"adam_step shape mismatch: param {p.data.shape}, grad {g.shape}, moment {m.shape}"
             )
-        p_rows, g_rows, m_rows, v_rows = (a if a.ndim else a[np.newaxis] for a in (p.data, g, m, v))
-        row = math.prod(p_rows.shape[1:])
-        rows_per_block = max(1, ADAM_BLOCK // max(row, 1))
-        if state.scratch[0].size < rows_per_block * row:  # a single row longer than a block
-            state.scratch = (np.empty(rows_per_block * row), np.empty(rows_per_block * row))
-        for start in range(0, p_rows.shape[0], rows_per_block):
-            block = slice(start, start + rows_per_block)
-            pb, gb, mb, vb = p_rows[block], g_rows[block], m_rows[block], v_rows[block]
+        for pb, gb, mb, vb in _adam_blocks(p.data, g, m, v):
             t1, t2 = (buf[:gb.size].reshape(gb.shape) for buf in state.scratch)
             mb *= beta1
             mb += np.multiply(gb, 1.0 - beta1, out=t1)

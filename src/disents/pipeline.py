@@ -288,9 +288,11 @@ def train_step(model: DisenTSModel, x: np.ndarray, y: np.ndarray,
     params = [t for _, t in model.named_parameters()]
     model._version += 1
     adam_step(params, [p.grad for p in params], opt)
-    epsilons = [] if signatures is None else signature_errors(fwd, signatures)
-    for m, w in enumerate(() if signatures is None else signatures.data):
-        model.registry.update(m, w)  # EMA last, after the optimizer step
+    epsilons = []
+    if signatures is not None:
+        epsilons = signature_errors(fwd, signatures)
+        for m, w in enumerate(signatures.data):
+            model.registry.update(m, w)  # EMA last, after the optimizer step
     model.step_count += 1
     return StepReport(l_fc=l_fc.item(), l_sc=l_sc.item(), total=total.item(), epsilons=epsilons)
 

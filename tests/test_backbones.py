@@ -101,6 +101,8 @@ def test_param_counts():
     assert build("linear", 8, 4).param_count == 8 * 4 + 4
     assert build("decomp-linear", 8, 4, decomp_kernel=5).param_count == 2 * (8 * 4 + 4)
     assert build("mlp", 8, 4, hidden=16).param_count == 8 * 16 + 16 + 16 * 4 + 4
+    stack = Backbone(BackboneConfig("mlp", 8, 4, hidden=16), 3, np.random.default_rng(0))
+    assert stack.param_count == 3 * (8 * 16 + 16 + 16 * 4 + 4)  # summed over the K experts
 
 
 def test_init_statistics_and_distinct_seeds():

@@ -162,6 +162,17 @@ def test_gather_rows_of_a_stack_gathers_each_matrix_on_its_own():
         assert np.array_equal(picked.data[m], data[m][idx[m]])
         np.add.at(expected[m], idx[m], weights[m])
     assert np.array_equal(x.grad, expected)
+    with recording():
+        x = nc.parameter(data)
+        picked = nc.gather_rows(x, [[-1], [0], [-5]])  # negative: from the end of its own matrix
+        backward(nc.sum(picked))
+    assert np.array_equal(picked.data[:, 0], data[[0, 1, 2], [4, 0, 0]])
+    expected = np.zeros((3, 5, 2))
+    expected[[0, 1, 2], [4, 0, 0]] = 1.0
+    assert np.array_equal(x.grad, expected)
+    for bad in (5, -6):  # past either end of a matrix, never into its neighbour
+        with pytest.raises(IndexError):
+            nc.gather_rows(x, [[0], [bad], [0]])
     with pytest.raises(ShapeError):
         nc.gather_rows(x, idx[:2])  # one index row per matrix
     with pytest.raises(ShapeError):
@@ -451,9 +462,10 @@ def same_bits(a, b):
     ((300, 100), False),
     ((300, 100), True),
     ((3, ADAM_BLOCK + 5), False),
+    ((2, 200, 100), True),
     ((), False),
 ], ids=["1d-ragged-last-block", "2d-rows-not-dividing-block", "2d-transposed-grad",
-        "rows-longer-than-a-block", "scalar"])
+        "rows-longer-than-a-block", "stack-of-matrices-longer-than-a-block", "scalar"])
 def test_blocked_adam_matches_whole_array_formula(shape, transposed_grad):
     rng = np.random.default_rng(40)
     p = nc.parameter(rng.normal(size=shape))
@@ -469,11 +481,12 @@ def test_blocked_adam_matches_whole_array_formula(shape, transposed_grad):
 
 
 def test_blocked_adam_updates_a_transposed_parameter_in_place():
-    model = DisenTSModel(ModelConfig(n_experts=1, backbone=BackboneConfig("linear", 200, 100)))
-    base = np.random.default_rng(41).normal(size=(100, 200))
-    model.set_parameter("experts.w", Tensor(base.T[None], requires_grad=True))
+    model = DisenTSModel(ModelConfig(n_experts=2, backbone=BackboneConfig("linear", 200, 100)))
+    base = np.random.default_rng(41).normal(size=(2, 100, 200))
+    model.set_parameter("experts.w", Tensor(base.transpose(0, 2, 1), requires_grad=True))
     params = [t for _, t in model.named_parameters()]
     assert not params[0].data.flags.c_contiguous and params[0].size > ADAM_BLOCK
+    assert len(list(nc._adam_blocks(params[0].data))) == 4  # two row blocks per expert
     refs = [(t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for t in params]
     state = AdamState.for_params(params, lr=1e-2)
     rng = np.random.default_rng(42)
@@ -483,7 +496,7 @@ def test_blocked_adam_updates_a_transposed_parameter_in_place():
         for (p, m, v), g in zip(refs, grads):
             whole_array_adam(p, g, m, v, step, lr=1e-2)
     assert params[0].data.base is base
-    assert same_bits(base.T[None], refs[0][0])
+    assert same_bits(base.transpose(0, 2, 1), refs[0][0])
     for t, (p, _, _) in zip(params, refs):
         assert same_bits(t.data, p)
 
