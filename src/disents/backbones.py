@@ -95,7 +95,7 @@ class Backbone:
 
 def forecast_rows(backbone: Backbone, x: Tensor) -> Tensor:
     """Forecast a stack of independent channel rows with every expert,
-    [rows, L] -> [K, rows, H]. Each layer is one stacked matmul over a
+    [rows, L] -> [K, rows, H]. Each layer is one stacked `linear` over a
     read-only broadcast of the shared rows, which must be a constant."""
     x = x if isinstance(x, Tensor) else nc.constant(x)
     cfg = backbone.config
@@ -108,7 +108,7 @@ def forecast_rows(backbone: Backbone, x: Tensor) -> Tensor:
     def layer(rows, weight: str, bias: str) -> Tensor:  # 2-D rows are shared by every expert
         if not isinstance(rows, Tensor):
             rows = nc.constant(np.broadcast_to(rows, (k,) + rows.shape))
-        return nc.matmul(rows, p[weight]) + nc.reshape(p[bias], (k, 1, -1))
+        return nc.linear(rows, p[weight], p[bias])
 
     if cfg.kind == "linear":
         return layer(x.data, "w", "b")

@@ -6,8 +6,9 @@ config file, then explicit command-line flags, in that order. Unknown
 config keys are rejected and all ranges are validated before any data is
 touched.
 
-Exit codes: 0 success, 2 configuration or validation failure, 3 numeric
-failure during an otherwise valid run.
+Exit codes: 0 success, 2 configuration or validation failure (a file that
+cannot be read or written included), 3 numeric failure during an otherwise
+valid run.
 """
 
 from __future__ import annotations
@@ -203,12 +204,10 @@ def _load_dataset(config: RunConfig) -> SeriesDataset:
 
 
 def _output_dir(config: RunConfig) -> Path:
-    """The --out directory, made if missing; one that cannot be made is a bad flag."""
+    """The --out directory, made if missing. One that cannot be made, like a
+    file in it that cannot be written, exits 2 through `main`."""
     out_dir = Path(config.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
 
@@ -425,6 +424,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a file the run reads or writes, such as one inside --out
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

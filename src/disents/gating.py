@@ -104,8 +104,8 @@ def embed_forecasters(signatures: np.ndarray, gate: GateParams) -> Tensor:
         raise ContractError(f"gate built for {gate.n_experts} experts, got {sig.shape[0]} signatures")
     p = gate.params
     flat = nc.constant(sig.reshape(sig.shape[0], -1))
-    hidden = nc.gelu(nc.matmul(flat, p["sig_w1"]) + p["sig_b1"])
-    return nc.matmul(hidden, p["sig_w2"]) + p["sig_b2"]
+    hidden = nc.gelu(nc.linear(flat, p["sig_w1"], p["sig_b1"]))
+    return nc.linear(hidden, p["sig_w2"], p["sig_b2"])
 
 
 def _heads(x: Tensor, heads: int) -> Tensor:
@@ -139,7 +139,7 @@ def cross_attend(h_x: Tensor, h_f: Tensor, gate: GateParams,
     rows = nc.reshape(h_x, (b * c, d))
     ctx = nc.dropout(attention_mix(rows, h_f, gate), rate, training, rng)
     attended = nc.layer_norm(rows + ctx, p["ln1_gain"], p["ln1_bias"])
-    ff = nc.matmul(nc.gelu(nc.matmul(attended, p["ffn_w1"]) + p["ffn_b1"]), p["ffn_w2"]) + p["ffn_b2"]
+    ff = nc.linear(nc.gelu(nc.linear(attended, p["ffn_w1"], p["ffn_b1"])), p["ffn_w2"], p["ffn_b2"])
     ff = nc.dropout(ff, rate, training, rng)
     out = nc.layer_norm(attended + ff, p["ln2_gain"], p["ln2_bias"])
     return nc.reshape(out, (b, c, d))

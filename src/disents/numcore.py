@@ -1,15 +1,16 @@
 """Float64 tensors with taped reverse-mode differentiation.
 
 Every differentiable operation used by the forecasting model lives here:
-elementwise arithmetic, matmul of matrices or of equal stacks of them, shape
-ops, reductions, softmax, layer norm, dropout, plus the SVD pseudo-inverse (a
-deliberate gradient barrier) and the Adam update. Ops executed inside a
+elementwise arithmetic, matmul of matrices or of equal stacks of them, the
+fused `linear` (product plus bias in one entry), shape ops, reductions,
+softmax, layer norm, dropout, plus the SVD pseudo-inverse (a deliberate
+gradient barrier) and the Adam update. Ops executed inside a
 `recording()` block append one entry to the active DiffRecord;
 `backward(loss)` replays that tape exactly once, in reverse execution order,
 freeing each entry as it goes, and leaves gradients on the tape's leaves
 (the tensors it reads but did not produce, such as parameters), so a step's
-activations are freed as soon as nothing else holds them. Elementwise ops
-and matmul compute no adjoint for an input that takes no gradient.
+activations are freed as soon as nothing else holds them. Elementwise ops,
+matmul and linear compute no adjoint for an input that takes no gradient.
 
 All data is float64 and row-major. The tape is thread-local, so concurrent
 evaluation threads that never open a recording stay independent.
@@ -17,11 +18,12 @@ evaluation threads that never open a recording stay independent.
 The module owns one thread pool, made on first use and sized by
 `thread_count()` (DISENTS_THREADS, else 1). `pool_map` spreads independent
 tasks over it, as `pipeline.evaluate` does with its batches. `by_rows`
-splits a pointwise kernel over the leading axis of an array of at least
-SPLIT_MIN elements, one contiguous chunk per thread; `gelu` runs both
-directions that way, in place in preallocated buffers. Every element sees
-the same operations in the same order however the rows are split, so
-results do not depend on the thread count. Smaller arrays run on the
+splits a kernel over the leading axis of an array of at least SPLIT_MIN
+elements, one contiguous chunk per thread. `gelu` runs both directions that
+way, in place in preallocated buffers, and so does a stacked `linear`, over
+its K matrices. Every element sees the same operations in the same order
+however the rows are split (a matrix of a stack is one BLAS call either
+way), so results do not depend on the thread count. Smaller arrays run on the
 calling thread without reading the environment, and a pool worker runs
 everything inline, so no worker ever waits on the pool.
 """
@@ -179,7 +181,7 @@ def no_recording():
         _LOCAL.record = prev
 
 
-SPLIT_MIN = 1 << 16  # elements; a smaller array's pointwise kernel runs on the calling thread
+SPLIT_MIN = 1 << 16  # elements; a smaller array's kernel runs on the calling thread
 
 _POOL_LOCK = threading.Lock()
 _POOL: tuple[int, ThreadPoolExecutor] | None = None  # (threads, pool)
@@ -349,6 +351,46 @@ def matmul(a, b) -> Tensor:
                 np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None)
 
     return _record_op(out, (a, b), backward)
+
+
+def _matmul_into(a: Array, b: Array, bias: Array | None = None) -> Array:
+    """a @ b (+ bias over the last axis) in a fresh C-ordered buffer, the bias
+    added in place. A [K, ...] stack runs matrix by matrix over `by_rows` of
+    its K axis, gated on its largest operand; a 2-D product runs whole, since
+    splitting it by rows changes the BLAS kernel and so the bits."""
+    out = np.empty(a.shape[:-1] + b.shape[-1:])
+
+    def matrices(s):
+        np.matmul(a[s], b[s], out=out[s])
+        if bias is not None:
+            out[s] += bias[s, np.newaxis, :]
+
+    if a.ndim == 2:
+        matrices(...)
+    else:
+        by_rows(matrices, max(a, b, out, key=np.size))
+    return out
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b: [m, n] @ [n, p] + [p], or one per matrix of a stack,
+    [K, m, n] @ [K, n, p] + [K, p]. The bias is added into the product's own
+    buffer, and a stack's product and adjoints are split over the pool by
+    matrix (`_matmul_into`); the bits are those of `matmul` then `add`."""
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    if (x.ndim not in (2, 3) or w.ndim != x.ndim or b.ndim != x.ndim - 1
+            or not x.shape[:-2] == w.shape[:-2] == b.shape[:-1]
+            or x.shape[-1] != w.shape[-2] or b.shape[-1] != w.shape[-1]):
+        raise ShapeError(f"linear expects [m, n] @ [n, p] + [p] or [K, m, n] @ [K, n, p] + [K, p], "
+                         f"got {x.shape}, {w.shape} and {b.shape}")
+    out = _matmul_into(x.data, w.data, b.data)
+
+    def backward(g):
+        return (_matmul_into(g, np.swapaxes(w.data, -1, -2)) if x.requires_grad else None,
+                _matmul_into(np.swapaxes(x.data, -1, -2), g) if w.requires_grad else None,
+                g.sum(axis=-2) if b.requires_grad else None)
+
+    return _record_op(out, (x, w, b), backward)
 
 
 def transpose(t, axes=(1, 0)) -> Tensor:

@@ -100,6 +100,8 @@ def _op_cases():
     stack_right = rng.normal(size=(2, 4, 5))
     p235 = rng.normal(size=(2, 3, 5))
     p324 = rng.normal(size=(3, 2, 4))
+    b5 = rng.normal(size=5)
+    b25 = rng.normal(size=(2, 5))
     c = nc.constant
     return [
         ("add", lambda t: _dot(nc.add(t, c(other)), p34), a),
@@ -114,6 +116,15 @@ def _op_cases():
         ("stacked matmul lhs", lambda t: _dot(nc.matmul(t, c(stack_right)), p235), stack_left),
         ("stacked matmul rhs", lambda t: _dot(nc.matmul(c(stack_left), t), p235), stack_right),
         ("transpose axes", lambda t: _dot(nc.transpose(t, axes=(1, 0, 2)), p324), stack_left),
+        ("linear input", lambda t: _dot(nc.linear(t, c(m_right), c(b5)), p35), a),
+        ("linear weight", lambda t: _dot(nc.linear(c(a), t, c(b5)), p35), m_right),
+        ("linear bias", lambda t: _dot(nc.linear(c(a), c(m_right), t), p35), b5),
+        ("stacked linear input",
+         lambda t: _dot(nc.linear(t, c(stack_right), c(b25)), p235), stack_left),
+        ("stacked linear weight",
+         lambda t: _dot(nc.linear(c(stack_left), t, c(b25)), p235), stack_right),
+        ("stacked linear bias",
+         lambda t: _dot(nc.linear(c(stack_left), c(stack_right), t), p235), b25),
         ("reshape", lambda t: _dot(nc.reshape(t, (2, 6)), p26), a),
         ("concat axis1", lambda t: _dot(nc.concat([t, c(other)], axis=1), p38), a),
         ("concat axis0", lambda t: _dot(nc.concat([c(other), t], axis=0), p64), a),

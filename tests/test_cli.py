@@ -199,6 +199,25 @@ def test_train_out_naming_a_file_exits_2(workspace, tmp_path, capsys):
     assert afile.read_text() == "not a directory"
 
 
+def test_synth_into_an_output_file_that_is_a_directory_exits_2(tmp_path, capsys):
+    blocked = tmp_path / "run" / "synthetic.csv"
+    blocked.mkdir(parents=True)
+    assert main(["synth", "--out", str(tmp_path / "run"), "--length", "200",
+                 "--channels-per-group", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(blocked) in err
+
+
+def test_eval_into_an_output_file_that_is_a_directory_exits_2(workspace, tmp_path, capsys):
+    blocked = tmp_path / "metrics.json"
+    blocked.mkdir()
+    assert main(["eval", "--checkpoint", str(workspace["train_out"] / "checkpoint"),
+                 "--dataset", str(workspace["csv"]), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(blocked) in err
+    assert blocked.is_dir() and not any(blocked.iterdir())
+
+
 def test_bad_thread_count_exits_2_before_reading_data(workspace, tmp_path, monkeypatch, capsys):
     def unread(path):
         raise AssertionError(f"read {path} despite a bad DISENTS_THREADS")

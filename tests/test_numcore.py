@@ -270,6 +270,14 @@ OPS = {
     "matmul_stack_left": lambda t: nc.matmul(nc.reshape(t, (2, 3, 2)), rand((2, 2, 5), 100)),
     "matmul_stack_right": lambda t: nc.matmul(rand((2, 3, 2), 101), nc.reshape(t, (2, 2, 3))),
     "transpose_axes": lambda t: nc.transpose(nc.reshape(t, (2, 3, 2)), axes=(1, 0, 2)),
+    "linear_input": lambda t: nc.linear(t, rand((4, 3), 102), rand(3, 103)),
+    "linear_weight": lambda t: nc.linear(rand((5, 3), 104), nc.reshape(t, (3, 4)), rand(4, 105)),
+    "linear_bias": lambda t: nc.linear(rand((5, 2), 106), rand((2, 12), 107), nc.reshape(t, (12,))),
+    "linear_stack_input": lambda t: nc.linear(nc.reshape(t, (2, 3, 2)), rand((2, 2, 5), 108),
+                                              rand((2, 5), 109)),
+    "linear_stack_weight": lambda t: nc.linear(rand((2, 3, 2), 110), nc.reshape(t, (2, 2, 3)),
+                                               rand((2, 3), 111)),
+    "linear_stack_bias": lambda t: nc.linear(rand((3, 2, 4), 112), rand((3, 4, 4), 113), t),
     "reshape": lambda t: nc.reshape(t, (4, 3)),
     "concat": lambda t: nc.concat([t, nc.multiply(t, 2.0)], axis=0),
     "slice": lambda t: nc.slice_axis(t, 1, 1, 3),
@@ -709,3 +717,51 @@ def test_pool_map_keeps_item_order_and_runs_inline_on_a_worker():
     assert nc.pool_map(lambda i: i * i, range(7), 3) == [i * i for i in range(7)]
     inner = nc.pool_map(lambda i: nc.pool_map(lambda j: (i, j), range(2), 3), range(4), 3)
     assert inner == [[(i, 0), (i, 1)] for i in range(4)]
+
+
+def _affine_taped(op, x, w, b, g):
+    """The value and the x, w and b adjoints of `op(x, w, b)` under the loss
+    sum(out * g), each operand a fresh leaf."""
+    leaves = [nc.parameter(a) for a in (x, w, b)]
+    with recording():
+        out = op(*leaves)
+        backward(nc.sum(nc.multiply(out, g)))
+    return [out.data] + [t.grad for t in leaves]
+
+
+def _matmul_then_add(x, w, b):
+    bias = b if b.ndim == 1 else nc.reshape(b, (b.shape[0], 1, -1))
+    return nc.add(nc.matmul(x, w), bias)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("shapes", [
+    ((3, 1000, 24), (3, 24, 30), (3, 30)),  # K=3 split over 2 threads as 1 + 2 matrices
+    ((2, 7, 5), (2, 5, 4), (2, 4)),  # below SPLIT_MIN: inline
+    ((1000, 24), (24, 70), (70,)),  # 2-D: never split
+], ids=["stack-split", "stack-small", "matrix"])
+def test_linear_equals_matmul_then_add_at_any_thread_count(shapes, threads, monkeypatch):
+    """The fused op's value and its three adjoints are those of `matmul`
+    then `add`, bit for bit, whether or not its stack is split over the pool."""
+    monkeypatch.setenv("DISENTS_THREADS", threads)
+    rng = np.random.default_rng(43)
+    x, w, b = (rng.normal(size=s) for s in shapes)
+    g = rng.normal(size=shapes[0][:-1] + shapes[1][-1:])
+    fused = _affine_taped(nc.linear, x, w, b, g)
+    split = len(shapes[0]) == 3 and g.size >= nc.SPLIT_MIN and threads != "1"
+    assert (nc._POOL is not None) == split
+    for got, want in zip(fused, _affine_taped(_matmul_then_add, x, w, b, g), strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shapes", [
+    ((3, 4), (5, 2), (2,)),  # inner dimensions differ
+    ((3, 4), (4, 2), (3,)),  # bias does not match the columns
+    ((2, 3, 4), (3, 4, 2), (2, 2)),  # stacks of different depth
+    ((2, 3, 4), (2, 4, 2), (2,)),  # a stack's bias needs one row per matrix
+    ((3, 4), (2, 4, 2), (2, 2)),  # a matrix against a stack
+    ((1, 2, 3, 4), (1, 2, 4, 2), (1, 2, 2)),  # no deeper stacks
+])
+def test_linear_rejects_mismatched_shapes(shapes):
+    with pytest.raises(ShapeError, match="linear expects"):
+        nc.linear(*(np.zeros(s) for s in shapes))

@@ -232,6 +232,9 @@ def test_expert_stack_equals_a_per_expert_loop_bit_for_bit(kind, k):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_train_step_tape_does_not_grow_with_k(kind, monkeypatch):
+    """A train step records the same number of tape entries at every K, and
+    that number is pinned: a change that grows the tape has to say so. The
+    gate's dropout is on, as in a training run, so its two entries count."""
     records = []
     real = pipeline.recording
 
@@ -245,11 +248,13 @@ def test_train_step_tape_does_not_grow_with_k(kind, monkeypatch):
     data = toy_windows(24, channels=4)
     counts = []
     for k in (2, 4, 8):
-        model = DisenTSModel(_kind_config(kind, k), seed=24)
+        config = replace(_kind_config(kind, k), gate=GateConfig(embed_dim=8, heads=2))
+        model = DisenTSModel(config, seed=24)
         opt = AdamState.for_params([t for _, t in model.named_parameters()], lr=1e-3)
         train_step(model, data.train_x[:8], data.train_y[:8], opt, train_rng(24))
         counts.append(len(records[-1]))
-    assert counts[0] == counts[1] == counts[2], counts
+    entries = {"linear": 67, "decomp-linear": 69, "mlp": 69}[kind]
+    assert counts == [entries] * 3, counts
 
 
 def test_predict_eval_mode_is_deterministic():
@@ -760,6 +765,21 @@ def test_evaluate_is_bit_identical_at_any_thread_count(batch_size):
     assert results[0] == results[1] == results[2]
 
 
+@given(sizes=st.lists(st.integers(1, 40), min_size=2, max_size=2))
+@settings(max_examples=50)
+def test_evaluate_agrees_across_batch_sizes(sizes):
+    """The batch size changes only the summation order of the metrics, so
+    any two agree to 1e-12 relative, not bit for bit."""
+    model = DisenTSModel(_kind_config("mlp", 3), seed=31)
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(37, 4, 12)) * 3.0 + rng.normal(size=(37, 4, 1))
+    y = rng.normal(size=(37, 4, 6))
+    a, b = (evaluate(model, x, y, batch_size=size) for size in sizes)
+    for got, want in zip([a.mse, a.mae, *a.per_channel_mse],
+                         [b.mse, b.mae, *b.per_channel_mse], strict=True):
+        assert abs(got - want) <= 1e-12 * abs(want), (sizes, got, want)
+
+
 def test_threaded_evaluate_of_large_batches_finishes():
     """Shards run on pool workers, and a worker runs the GELU rows of its
     shard itself: if it queued them on the pool it shares with the other
@@ -775,6 +795,35 @@ def test_threaded_evaluate_of_large_batches_finishes():
         runner.join(timeout=60)
     assert not runner.is_alive(), "evaluate did not finish within 60 s"
     assert result == [evaluate(model, x, y, batch_size=32, threads=1)]
+
+
+def test_threaded_evaluate_of_a_large_expert_stack_finishes(monkeypatch):
+    """A decomp-linear forward of 64 windows x 8 channels holds [4, 512, 32]
+    expert stacks, SPLIT_MIN elements each. As one batch on the calling
+    thread, every stacked `linear` splits over the pool by matrix; as shards
+    on pool workers, each runs inline. Both finish and match threads=1."""
+    model = DisenTSModel(ModelConfig(n_experts=4, backbone=BackboneConfig(
+        "decomp-linear", 16, 32, decomp_kernel=5)), seed=30)
+    rng = np.random.default_rng(30)
+    x, y = rng.normal(size=(128, 8, 16)), rng.normal(size=(128, 8, 32))
+    assert 4 * 64 * 8 * 32 >= nc.SPLIT_MIN
+    stacks, real = [], nc.by_rows
+
+    def spy(fn, a):
+        if a.ndim == 3 and a.shape[0] == 4:
+            stacks.append(a.size)
+        return real(fn, a)
+
+    monkeypatch.setattr(nc, "by_rows", spy)
+    result = []
+    with mock.patch.dict(os.environ, {"DISENTS_THREADS": "2"}):
+        runner = threading.Thread(target=lambda: result.extend(
+            evaluate(model, x, y, batch_size=b) for b in (128, 64)), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+    assert not runner.is_alive(), "evaluate did not finish within 60 s"
+    assert max(stacks) >= nc.SPLIT_MIN
+    assert result == [evaluate(model, x, y, batch_size=b, threads=1) for b in (128, 64)]
 
 
 @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-10, 8),
