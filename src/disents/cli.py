@@ -24,9 +24,9 @@ import numpy as np
 
 from .backbones import BackboneConfig
 from .checkpoint import load_model, save_model
-from .datakit import (GroupSpec, SeriesDataset, WindowedData, WindowSpec, labels_sidecar_path,
-                      load_csv, load_labels, make_windows, routing_purity, save_csv,
-                      split_standardize, synth_generate)
+from .datakit import (GroupSpec, SeriesDataset, WindowedData, WindowSpec, default_two_group,
+                      labels_sidecar_path, load_csv, load_labels, make_windows, routing_purity,
+                      save_csv, split_standardize, synth_generate)
 from .decode import decode
 from .errors import ConfigError, NumericError, ParseError
 from .gating import GateConfig
@@ -80,16 +80,13 @@ class RunConfig:
     synth_harmonics: list[int] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.synth_periods is None:
-            self.synth_periods = [24.0, 37.0]
-        if self.synth_amplitudes is None:
-            self.synth_amplitudes = [1.0, 1.0]
-        if self.synth_trends is None:
-            self.synth_trends = [5e-4, -5e-4]
-        if self.synth_signs is None:
-            self.synth_signs = [1.0, -1.0]
-        if self.synth_harmonics is None:
-            self.synth_harmonics = [11, 18]
+        # a null list means the groups' values in datakit.default_two_group()
+        groups = default_two_group()
+        for key, attr in (("synth_periods", "period"), ("synth_amplitudes", "amplitude"),
+                          ("synth_trends", "trend"), ("synth_signs", "sign"),
+                          ("synth_harmonics", "harmonics")):
+            if getattr(self, key) is None:
+                setattr(self, key, [getattr(group, attr) for group in groups])
 
 
 def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:

@@ -336,11 +336,8 @@ def default_two_group() -> list[GroupSpec]:
 
 
 def default_four_group() -> list[GroupSpec]:
-    return [
-        GroupSpec(period=24.0, amplitude=1.0, trend=5e-4, phase_jitter=0.5, sign=1.0,
-                  harmonics=11),
-        GroupSpec(period=37.0, amplitude=1.0, trend=-5e-4, phase_jitter=0.5, sign=-1.0,
-                  harmonics=18),
+    """`default_two_group()` and two more groups."""
+    return default_two_group() + [
         GroupSpec(period=30.0, amplitude=1.0, trend=-5e-4, phase_jitter=0.5, sign=1.0,
                   harmonics=14),
         GroupSpec(period=44.0, amplitude=1.0, trend=5e-4, phase_jitter=0.5, sign=-1.0,

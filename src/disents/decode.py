@@ -1,13 +1,14 @@
-"""One decoder from a JSON object to a config dataclass.
+"""One decoder from a JSON object to a dataclass.
 
-The CLI's RunConfig and a checkpoint's ModelConfig are read by the same
-rules, taken from the dataclass's resolved annotations: every field present
-and no other key; a bool is no int; a float field takes finite ints or
-floats; a list is checked element by element; `X | None` (or a null
-default) takes null; a dataclass-typed field is decoded in turn. The
-dataclass's own `__post_init__` then checks ranges and, through
-`require_integers`, that each count field holds an integer, since library
-callers reach it without the decoder.
+The CLI's RunConfig and a checkpoint's whole manifest, its ModelConfig
+included, are read by the same rules, taken from the dataclass's resolved
+annotations: every field present and no other key; a bool is no int; a
+`Count` is a non-negative int; a float field takes finite ints or floats; a
+list is checked element by element; `X | None` (or a null default) takes
+null; a dataclass-typed field, and each item of a list of dataclasses, is
+decoded in turn. The dataclass's own `__post_init__` then checks ranges
+and, through `require_integers`, that each count field holds an integer,
+since library callers reach it without the decoder.
 """
 
 from __future__ import annotations
@@ -20,20 +21,32 @@ from dataclasses import fields, is_dataclass
 
 from .errors import ConfigError
 
+Count = typing.NewType("Count", int)
+
 _WORDS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
-          type(None): "null", list[int]: "a list of integers",
-          list[float]: "a list of finite numbers"}
+          Count: "a non-negative integer", type(None): "null", list[int]: "a list of integers",
+          list[float]: "a list of finite numbers", list[bool]: "a list of true or false values",
+          list[Count]: "a list of non-negative integers"}
+
+
+def _item(kind):
+    """The item type of a `list[...]` annotation, else None."""
+    return typing.get_args(kind)[0] if typing.get_origin(kind) is list else None
 
 
 def _fits(value, kind) -> bool:
     """Whether a JSON value is of the annotated `kind`. An int beyond the
-    float range is no finite number."""
+    float range is no finite number. The items of a list of dataclasses are
+    left to `decode`, which names the one that is malformed."""
+    item = _item(kind)
     if is_dataclass(kind):
         return type(value) is dict
-    if typing.get_origin(kind) is list:
-        return type(value) is list and all(_fits(v, typing.get_args(kind)[0]) for v in value)
+    if item is not None:
+        return type(value) is list and (is_dataclass(item) or all(_fits(v, item) for v in value))
     if kind is float:
         return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if kind is Count:
+        return type(value) is int and value >= 0
     if kind in (int, bool, str, type(None)):
         return type(value) is kind
     raise TypeError(f"decode cannot read the annotation {kind!r}")
@@ -50,6 +63,8 @@ def require_integers(**counts) -> None:
 def decode(cls, raw: dict, where: str):
     """`cls(**raw)` once every key is checked. ConfigError names the first
     key that is unknown, missing or of the wrong type, after `where`."""
+    if type(raw) is not dict:
+        raise ConfigError(f"{where[:-1]} must be an object, got {raw!r}")
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"{where}{unknown[0]} is unknown")
@@ -63,7 +78,12 @@ def decode(cls, raw: dict, where: str):
         if f.default is None and type(None) not in kinds:
             kinds += (type(None),)
         if not any(_fits(value, k) for k in kinds):
-            words = " or ".join("an object" if is_dataclass(k) else _WORDS[k] for k in kinds)
+            words = " or ".join("an object" if is_dataclass(k) else "a list of objects"
+                                if is_dataclass(_item(k)) else _WORDS[k] for k in kinds)
             raise ConfigError(f"{where}{f.name} must be {words}, got {value!r}")
-        values[f.name] = decode(kind, value, f"{where}{f.name}.") if is_dataclass(kind) else value
+        if is_dataclass(kind):
+            value = decode(kind, value, f"{where}{f.name}.")
+        elif is_dataclass(_item(kind)):
+            value = [decode(_item(kind), v, f"{where}{f.name}[{i}].") for i, v in enumerate(value)]
+        values[f.name] = value
     return cls(**values)

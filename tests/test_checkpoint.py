@@ -1,14 +1,18 @@
 """Binary checkpoint round trips and manifest validation."""
 
 import copy
+import itertools
 import json
+import os
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disents import checkpoint
 from disents.backbones import BackboneConfig
 from disents.checkpoint import MANIFEST, load_model, save_model
 from disents.cli import main
@@ -33,6 +37,15 @@ def trained_model(seed=0, n_experts=2):
     train_step(model, rng.normal(size=(8, 3, 12)), rng.normal(size=(8, 3, 6)),
                opt, train_rng(seed))
     return model
+
+
+def same_model(ours, theirs):
+    """Whether two models hold the same config, counters and array bits."""
+    if (ours.config, ours.seed, ours.step_count, ours.registry.initialized) != \
+            (theirs.config, theirs.seed, theirs.step_count, theirs.registry.initialized):
+        return False
+    arrays = theirs.arrays()
+    return all(a.tobytes() == arrays[name].tobytes() for name, a in ours.arrays().items())
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -188,6 +201,11 @@ def _point_at_neighbour(directory):
                                                *arrays[1:]])
 
 
+def _extend_array(directory):
+    with open(directory / "array0000.bin", "ab") as fh:
+        fh.write(b"\0")  # less than one float64 more
+
+
 def _edit_manifest(edit):
     def damage(directory):
         manifest = json.loads((directory / MANIFEST).read_text())
@@ -227,7 +245,7 @@ def _set(path, value):
     (_set(["meta", "registry_initialized"], [1, 0]), "field meta.registry_initialized "),
     (_set(["arrays"], None), "field arrays "),
     (_set(["arrays"], {}), "field arrays "),
-    (_set(["arrays", 0], "expert0.trend_w"), "field arrays[0].name "),
+    (_set(["arrays", 0], "expert0.trend_w"), "field arrays[0] "),
     (_set(["arrays", 0, "name"], None), "field arrays[0].name "),
     (_set(["arrays", 0, "shape"], None), "field arrays[0].shape "),
     (_set(["arrays", 0, "shape"], "12,6"), "field arrays[0].shape "),
@@ -256,6 +274,12 @@ def _set(path, value):
     (_set(["meta", "config", "backbone", "decomp_kernel"], None),
      "field meta.config.backbone.decomp_kernel "),
     (_set(["meta", "config", "gate", "bogus"], 1), "field meta.config.gate.bogus "),
+    (_set(["format"], True), "field format "),
+    (_set(["format"], 1.0), "field format "),
+    (_set(["bogus"], 1), "field bogus "),
+    (_set(["meta", "bogus"], 1), "field meta.bogus "),
+    (_set(["arrays", 0, "bogus"], 1), "field arrays[0].bogus "),
+    (_extend_array, "holds 577 bytes"),
 ], ids=["truncated-manifest", "missing-array-file", "gamma-out-of-range", "gamma-not-numeric",
         "manifest-not-object", "no-meta", "meta-not-object", "no-config", "seed-not-int",
         "no-step-count", "step-count-not-int", "step-count-negative", "no-registry-flags",
@@ -265,7 +289,8 @@ def _set(path, value):
         "file-in-subdirectory", "file-parent", "file-empty", "file-nul", "lookback-float",
         "n-experts-bool", "heads-string", "top-k-float", "alpha-string", "tau-bool", "tau-nan",
         "eps-norm-list", "normalize-sims-string", "no-heads", "no-decomp-kernel",
-        "unknown-gate-key"])
+        "unknown-gate-key", "format-bool", "format-float", "unknown-envelope-key",
+        "unknown-meta-key", "unknown-entry-key", "array-file-extended"])
 def test_malformed_checkpoint_exits_2(tmp_path, capsys, damage, field):
     assert main(["synth", "--out", str(tmp_path / "data"), "--length", "200",
                  "--channels-per-group", "1", "--seed", "0"]) == 0
@@ -287,10 +312,55 @@ def test_saving_a_smaller_model_removes_stale_arrays(tmp_path):
     assert load_model(tmp_path).n_experts == 2
 
 
+def test_a_save_stopped_at_any_write_leaves_the_old_or_the_new_checkpoint(tmp_path,
+                                                                          monkeypatch):
+    """Save B over A and stop the save at each file it writes, that file
+    left half written: every array file, the staged manifest, the replace
+    that commits it, and the deletion of A's files after it. The directory
+    loads as exactly A up to the replace, and as exactly B after it."""
+    a, b = trained_model(seed=0, n_experts=3), trained_model(seed=1, n_experts=2)
+    real_open = open
+
+    def stop(*args):
+        raise OSError("save stopped")
+
+    writes = len(b.arrays()) + 1
+    for stop_at in range(writes + 2):
+        save_model(a, tmp_path)
+        opened = itertools.count()
+
+        def open_once_too_often(path, mode="r"):
+            fh = real_open(path, mode)
+            if next(opened) == stop_at:
+                with fh:
+                    fh.write(b"\0" * 5 if "b" in mode else "{")
+                stop()
+            return fh
+
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint, "open", open_once_too_often, raising=False)
+            if stop_at == writes:
+                patch.setattr(os, "replace", stop)
+            if stop_at == writes + 1:
+                patch.setattr(Path, "unlink", stop)
+            with pytest.raises(OSError, match="save stopped"):
+                save_model(b, tmp_path)
+        assert same_model(load_model(tmp_path), a if stop_at <= writes else b), stop_at
+    save_model(b, tmp_path)
+    assert same_model(load_model(tmp_path), b)
+    listed = {e["file"] for e in json.loads((tmp_path / MANIFEST).read_text())["arrays"]}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(listed | {MANIFEST})
+
+
 @pytest.fixture(scope="module")
-def saved(tmp_path_factory):
+def saved_model():
+    return trained_model()
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory, saved_model):
     directory = tmp_path_factory.mktemp("tampered")
-    save_model(trained_model(), directory)
+    save_model(saved_model, directory)
     return directory, json.loads((directory / MANIFEST).read_text())
 
 
@@ -322,3 +392,55 @@ def test_tampered_config_loads_exactly_or_is_rejected(saved, data):
         return
     assert action == "retype"
     assert json.dumps(asdict(loaded), sort_keys=True) == json.dumps(config, sort_keys=True)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_tampered_manifest_loads_exactly_or_is_rejected(saved, saved_model, data):
+    """Deleting, retyping or renaming a key of the envelope, of meta or of
+    one array entry, or adding an unknown key to one, either raises
+    ConfigError or loads exactly the saved model.
+
+    Two edits are left out, since both load a different model without
+    complaint and only a digest of each array could catch them: swapping
+    two array files of the same shape, and swapping the `file` fields of
+    two entries of the same shape."""
+    directory, manifest = saved
+    manifest = copy.deepcopy(manifest)
+    entry = data.draw(st.sampled_from(manifest["arrays"]))
+    record = data.draw(st.sampled_from([manifest, manifest["meta"], entry]))
+    action = data.draw(st.sampled_from(["delete", "retype", "rename", "add"]))
+    new_key = data.draw(st.text(max_size=8).filter(lambda k: k not in record))
+    if action == "add":
+        record[new_key] = data.draw(JSON_VALUES)
+    else:
+        key = data.draw(st.sampled_from(sorted(record)))
+        if action == "delete":
+            del record[key]
+        elif action == "rename":
+            record[new_key] = record.pop(key)
+        else:  # a value of another type, so no size changes to one that allocates
+            record[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(record[key])))
+    (directory / MANIFEST).write_text(json.dumps(manifest))
+    try:
+        loaded = load_model(directory)
+    except ConfigError:
+        return
+    assert action == "retype"
+    assert same_model(loaded, saved_model)
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_truncated_or_extended_array_file_is_rejected(saved, data):
+    directory, manifest = saved
+    (directory / MANIFEST).write_text(json.dumps(manifest))
+    path = directory / data.draw(st.sampled_from(manifest["arrays"]))["file"]
+    original = path.read_bytes()
+    size = data.draw(st.integers(0, len(original) + 16).filter(lambda n: n != len(original)))
+    path.write_bytes((original + bytes(16))[:size])
+    try:
+        with pytest.raises(ConfigError, match="holds"):
+            load_model(directory)
+    finally:
+        path.write_bytes(original)

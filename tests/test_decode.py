@@ -4,7 +4,7 @@ config constructors, which library callers reach without the decoder."""
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ import pytest
 from disents.backbones import KINDS, BackboneConfig
 from disents.cli import RunConfig
 from disents.datakit import GroupSpec, WindowSpec
-from disents.decode import decode
+from disents.decode import Count, decode
 from disents.errors import ConfigError
 from disents.gating import GateConfig
 from disents.lwa import LwaConfig
@@ -48,11 +48,14 @@ class Outer:
     sizes: list[int]
     limit: int | None = None
     weights: list[float] = None  # type: ignore[assignment]
+    n: Count = 0
+    flags: list[bool] = field(default_factory=list)
+    items: list[Inner] = field(default_factory=list)
 
 
 def outer(**changes):
     raw = {"count": 2, "rate": 0.5, "inner": {"flag": True, "name": "b"}, "sizes": [1, 2],
-           "limit": None, "weights": None}
+           "limit": None, "weights": None, "n": 0, "flags": [], "items": []}
     return {**raw, **changes}
 
 
@@ -60,6 +63,8 @@ def test_values_pass_through_unchanged():
     decoded = decode(Outer, outer(rate=3, limit=4, weights=[1, 2.5]), "x.")
     assert decoded == Outer(2, 3, Inner(True, "b"), [1, 2], 4, [1, 2.5])
     assert type(decoded.rate) is int  # a float field keeps the int it was given
+    decoded = decode(Outer, outer(n=3, flags=[False], items=[{"flag": False, "name": "c"}]), "x.")
+    assert (decoded.n, decoded.flags, decoded.items) == (3, [False], [Inner(False, "c")])
 
 
 @pytest.mark.parametrize("changes, message", [
@@ -78,9 +83,20 @@ def test_values_pass_through_unchanged():
     ({"inner": {"flag": True}}, "x.inner.name is missing (malformed config)"),  # no default used
     ({"inner": {"flag": True, "name": "b", "extra": 0}}, "x.inner.extra is unknown"),
     ({"extra": 0, "zzz": 0}, "x.extra is unknown"),
+    ({"n": -1}, "x.n must be a non-negative integer, got -1"),
+    ({"n": True}, "x.n must be a non-negative integer, got True"),
+    ({"n": 2.0}, "x.n must be a non-negative integer, got 2.0"),
+    ({"flags": [True, 0]}, "x.flags must be a list of true or false values, got [True, 0]"),
+    ({"items": {"flag": True}}, "x.items must be a list of objects, got {'flag': True}"),
+    ({"items": [{"flag": True, "name": "a"}, {"flag": 1, "name": "b"}]},
+     "x.items[1].flag must be true or false, got 1"),
+    ({"items": ["a"]}, "x.items[0] must be an object, got 'a'"),
+    ({"items": [{"flag": True, "name": "a", "extra": 0}]}, "x.items[0].extra is unknown"),
 ], ids=["int-bool", "int-float", "float-bool", "float-inf", "float-huge-int", "list-item",
         "list-null", "optional-float", "null-default-list-item", "nested-not-object",
-        "nested-bool", "nested-str", "nested-missing", "nested-unknown", "unknown"])
+        "nested-bool", "nested-str", "nested-missing", "nested-unknown", "unknown",
+        "count-negative", "count-bool", "count-float", "bool-list-item", "item-list-not-list",
+        "item-list-item", "item-list-not-object", "item-list-unknown"])
 def test_each_rule_names_the_key(changes, message):
     with pytest.raises(ConfigError) as err:
         decode(Outer, outer(**changes), "x.")
