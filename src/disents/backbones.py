@@ -87,11 +87,6 @@ class Backbone:
         self._trend_matrix = (moving_average_matrix(L, config.decomp_kernel)
                               if config.kind == "decomp-linear" else None)
 
-    @property
-    def param_count(self) -> int:
-        """Scalar parameters over all K experts, K times one expert's count."""
-        return int(np.sum([t.size for t in self.params.values()]))
-
 
 def forecast_rows(backbone: Backbone, x: Tensor) -> Tensor:
     """Forecast a stack of independent channel rows with every expert,

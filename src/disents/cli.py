@@ -321,23 +321,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k-experts", type=int, dest="k_experts")
-    parser.add_argument("--lambda", type=float, dest="sc_weight",
-                        help="weight of the signature contrast term")
-    parser.add_argument("--alpha", type=float, dest="alpha")
-    parser.add_argument("--topk", type=int, dest="top_k")
-    parser.add_argument("--tau", type=float, dest="tau")
-    parser.add_argument("--raw-similarity", action="store_true", dest="raw_similarity",
-                        default=argparse.SUPPRESS)
+    """The backbone, window and training flags that `train` and `baseline` share."""
     parser.add_argument("--lookback", type=int, dest="lookback")
     parser.add_argument("--horizon", type=int, dest="horizon")
     parser.add_argument("--stride", type=int, dest="stride")
     parser.add_argument("--backbone", choices=("linear", "decomp-linear", "mlp"), dest="backbone")
     parser.add_argument("--hidden", type=int, dest="hidden")
     parser.add_argument("--decomp-kernel", type=int, dest="decomp_kernel")
-    parser.add_argument("--gate-dim", type=int, dest="gate_dim")
-    parser.add_argument("--gate-heads", type=int, dest="gate_heads")
-    parser.add_argument("--gate-dropout", type=float, dest="gate_dropout")
     parser.add_argument("--epochs", type=int, dest="epochs")
     parser.add_argument("--batch-size", type=int, dest="batch_size")
     parser.add_argument("--lr", type=float, dest="lr")
@@ -346,6 +336,21 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                              "stops; 0 stops after the first epoch")
     parser.add_argument("--split", dest="split",
                         help="train,val,test fractions, e.g. 0.6,0.2,0.2")
+
+
+def _add_mixture_flags(parser: argparse.ArgumentParser) -> None:
+    """The expert, signature and gate flags, which only `train` reads."""
+    parser.add_argument("--k-experts", type=int, dest="k_experts")
+    parser.add_argument("--lambda", type=float, dest="sc_weight",
+                        help="weight of the signature contrast term")
+    parser.add_argument("--alpha", type=float, dest="alpha")
+    parser.add_argument("--topk", type=int, dest="top_k")
+    parser.add_argument("--tau", type=float, dest="tau")
+    parser.add_argument("--raw-similarity", action="store_true", dest="raw_similarity",
+                        default=argparse.SUPPRESS)
+    parser.add_argument("--gate-dim", type=int, dest="gate_dim")
+    parser.add_argument("--gate-heads", type=int, dest="gate_heads")
+    parser.add_argument("--gate-dropout", type=float, dest="gate_dropout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model and write metrics + checkpoint")
     _add_common(p_train)
     _add_model_flags(p_train)
+    _add_mixture_flags(p_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset's test split")
     _add_common(p_eval)

@@ -80,16 +80,6 @@ class GateParams:
         }
 
 
-def embed_channels(x: Tensor, gate: GateParams) -> Tensor:
-    """Project per-channel lookback windows to queries, [B, C, L] -> [B, C, d]."""
-    x = x if isinstance(x, Tensor) else nc.constant(x)
-    if x.ndim != 3 or x.shape[2] != gate.lookback:
-        raise ShapeError(f"expected [batch, channels, {gate.lookback}], got shape {x.shape}")
-    b, c, L = x.shape
-    rows = nc.reshape(x, (b * c, L))
-    return nc.reshape(nc.matmul(rows, gate.params["w_in"]), (b, c, gate.config.embed_dim))
-
-
 def embed_forecasters(signatures: np.ndarray, gate: GateParams) -> Tensor:
     """Embed expert signatures with a two-layer GELU MLP, [K, L, H] -> [K, d].
 
@@ -127,22 +117,20 @@ def attention_mix(queries: Tensor, keys: Tensor, gate: GateParams) -> Tensor:
     return nc.matmul(nc.reshape(mixed, queries.shape), p["attn_wo"])
 
 
-def cross_attend(h_x: Tensor, h_f: Tensor, gate: GateParams,
+def cross_attend(rows: Tensor, h_f: Tensor, gate: GateParams,
                  training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
     """Post-norm transformer block over channel queries and expert keys.
 
-    [B, C, d] x [K, d] -> [B, C, d]. Dropout is applied to each sublayer
-    output before its residual add, and only while training."""
-    b, c, d = h_x.shape
+    [R, d] x [K, d] -> [R, d], one row per channel of each series. Dropout
+    is applied to each sublayer output before its residual add, and only
+    while training."""
     p = gate.params
     rate = gate.config.dropout
-    rows = nc.reshape(h_x, (b * c, d))
     ctx = nc.dropout(attention_mix(rows, h_f, gate), rate, training, rng)
     attended = nc.layer_norm(rows + ctx, p["ln1_gain"], p["ln1_bias"])
     ff = nc.linear(nc.gelu(nc.linear(attended, p["ffn_w1"], p["ffn_b1"])), p["ffn_w2"], p["ffn_b2"])
     ff = nc.dropout(ff, rate, training, rng)
-    out = nc.layer_norm(attended + ff, p["ln2_gain"], p["ln2_bias"])
-    return nc.reshape(out, (b, c, d))
+    return nc.layer_norm(attended + ff, p["ln2_gain"], p["ln2_bias"])
 
 
 def route(x: Tensor, signatures: np.ndarray, gate: GateParams,
@@ -150,12 +138,15 @@ def route(x: Tensor, signatures: np.ndarray, gate: GateParams,
           embedded: Tensor | None = None) -> Tensor:
     """Routing weights over experts, [B, C, L] -> [B, C, K] rows on the simplex.
 
-    `embedded`, when given, must be `embed_forecasters(signatures, gate)`
-    computed earlier on the same weights; it is used in place of a fresh
-    embedding."""
-    h_x = embed_channels(x, gate)
+    Each channel's lookback window is projected to one query row. `embedded`,
+    when given, must be `embed_forecasters(signatures, gate)` computed
+    earlier on the same weights; it is used in place of a fresh embedding."""
+    x = x if isinstance(x, Tensor) else nc.constant(x)
+    if x.ndim != 3 or x.shape[2] != gate.lookback:
+        raise ShapeError(f"expected [batch, channels, {gate.lookback}], got shape {x.shape}")
+    b, c, L = x.shape
+    queries = nc.matmul(nc.reshape(x, (b * c, L)), gate.params["w_in"])
     h_f = embed_forecasters(signatures, gate) if embedded is None else embedded
-    h = cross_attend(h_x, h_f, gate, training, rng)
-    b, c, d = h.shape
-    logits = nc.matmul(nc.reshape(h, (b * c, d)), gate.params["w_out"])
+    h = cross_attend(queries, h_f, gate, training, rng)
+    logits = nc.matmul(h, gate.params["w_out"])
     return nc.reshape(nc.softmax(logits), (b, c, gate.n_experts))

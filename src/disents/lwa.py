@@ -67,22 +67,15 @@ class EmaRegistry:
         self.gamma = rng.normal(0.0, INIT_STD, size=(n_experts, lookback, horizon))
         self.initialized = [False] * n_experts
 
-    @property
-    def n_experts(self) -> int:
-        return self.gamma.shape[0]
-
-    def update(self, expert: int, w: np.ndarray) -> None:
-        """Fold one batch signature into the registry. W enters as a constant."""
-        w = np.asarray(w, dtype=np.float64)
-        if not 0 <= expert < self.n_experts:
-            raise ContractError(f"expert index {expert} out of range for {self.n_experts}")
-        if w.shape != self.gamma.shape[1:]:
-            raise ShapeError(f"signature shape {w.shape} does not match {self.gamma.shape[1:]}")
-        if self.initialized[expert]:
-            self.gamma[expert] = self.alpha * self.gamma[expert] + (1.0 - self.alpha) * w
-        else:
-            self.gamma[expert] = w.copy()
-            self.initialized[expert] = True
+    def update(self, signatures: np.ndarray) -> None:
+        """Fold a [K, L, H] stack of batch signatures into the registry, one
+        per expert, in place. W enters as a constant."""
+        w = np.asarray(signatures, dtype=np.float64)
+        if w.shape != self.gamma.shape:
+            raise ShapeError(f"signature stack shape {w.shape} does not match {self.gamma.shape}")
+        initialized = np.array(self.initialized)[:, np.newaxis, np.newaxis]
+        self.gamma[...] = np.where(initialized, self.alpha * self.gamma + (1.0 - self.alpha) * w, w)
+        self.initialized = [True] * len(self.initialized)
 
 
 def select_top_k(beta: Tensor, x_norm: Tensor, y_hat: Tensor,

@@ -187,17 +187,18 @@ _POOL_LOCK = threading.Lock()
 _POOL: tuple[int, ThreadPoolExecutor] | None = None  # (threads, pool)
 
 
-def thread_count(threads: int | None = None) -> int:
-    """The thread count: `threads` if given, else DISENTS_THREADS, else 1."""
-    if threads is not None:
-        return max(1, threads)
+def thread_count() -> int:
+    """The thread count: DISENTS_THREADS, else 1."""
     raw = os.environ.get("DISENTS_THREADS", "").strip()
     if not raw:
         return 1
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
         raise ConfigError(f"DISENTS_THREADS must be an integer, got {raw!r}") from None
+    if threads < 1:
+        raise ConfigError(f"DISENTS_THREADS must be at least 1, got {raw!r}")
+    return threads
 
 
 def _mark_worker() -> None:
@@ -230,11 +231,12 @@ def drop_pool() -> None:
         dropped[1].shutdown(wait=True, cancel_futures=True)
 
 
-def pool_map(fn: Callable, items: Sequence, threads: int) -> list:
-    """`[fn(i) for i in items]`, spread over `threads` threads of the shared
-    pool; on the calling thread when there is one thread or one item, or
-    when the caller is itself a pool worker."""
-    if threads <= 1 or len(items) <= 1 or _on_worker():
+def pool_map(fn: Callable, items: Sequence) -> list:
+    """`[fn(i) for i in items]`, spread over `thread_count()` threads of the
+    shared pool; on the calling thread when there is one thread or one item,
+    or when the caller is itself a pool worker."""
+    threads = thread_count()
+    if threads == 1 or len(items) <= 1 or _on_worker():
         return [fn(i) for i in items]
     return list(_pool(threads).map(fn, items))
 
@@ -741,6 +743,9 @@ def pinv(x, rcond: float = 1e-6) -> Tensor:
 
 
 ADAM_BLOCK = 16384  # elements per Adam update block; two block-sized buffers stay in cache
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -749,9 +754,6 @@ class AdamState:
     and the two block-sized scratch buffers `adam_step` computes in."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: list[Array] = field(default_factory=list)
     v: list[Array] = field(default_factory=list)
@@ -760,9 +762,8 @@ class AdamState:
         init=False, repr=False, compare=False)
 
     @classmethod
-    def for_params(cls, params: Sequence[Tensor], lr: float = 1e-3,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def for_params(cls, params: Sequence[Tensor], lr: float = 1e-3) -> "AdamState":
+        state = cls(lr=lr)
         state.m = [np.zeros_like(p.data) for p in params]
         state.v = [np.zeros_like(p.data) for p in params]
         return state
@@ -800,9 +801,8 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[Array | None], state: Ad
             f"adam_step got {len(params)} params, {len(grads)} grads, state of {len(state.m)}"
         )
     state.step_count += 1
-    beta1, beta2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
-    correct1 = 1.0 - beta1 ** state.step_count
-    correct2 = 1.0 - beta2 ** state.step_count
+    correct1 = 1.0 - ADAM_BETA1 ** state.step_count
+    correct2 = 1.0 - ADAM_BETA2 ** state.step_count
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g is None:
             raise ContractError("adam_step received a missing gradient")
@@ -813,14 +813,14 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[Array | None], state: Ad
             )
         for pb, gb, mb, vb in _adam_blocks(p.data, g, m, v):
             t1, t2 = (buf[:gb.size].reshape(gb.shape) for buf in state.scratch)
-            mb *= beta1
-            mb += np.multiply(gb, 1.0 - beta1, out=t1)
-            vb *= beta2
+            mb *= ADAM_BETA1
+            mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=t1)
+            vb *= ADAM_BETA2
             np.multiply(gb, gb, out=t1)
-            vb += np.multiply(t1, 1.0 - beta2, out=t1)
+            vb += np.multiply(t1, 1.0 - ADAM_BETA2, out=t1)
             np.divide(mb, correct1, out=t1)
-            np.multiply(t1, lr, out=t1)
+            np.multiply(t1, state.lr, out=t1)
             np.divide(vb, correct2, out=t2)
             np.sqrt(t2, out=t2)
-            np.add(t2, eps, out=t2)
+            np.add(t2, ADAM_EPS, out=t2)
             pb -= np.divide(t1, t2, out=t1)

@@ -291,8 +291,7 @@ def train_step(model: DisenTSModel, x: np.ndarray, y: np.ndarray,
     epsilons = []
     if signatures is not None:
         epsilons = signature_errors(fwd, signatures)
-        for m, w in enumerate(signatures.data):
-            model.registry.update(m, w)  # EMA last, after the optimizer step
+        model.registry.update(signatures.data)  # EMA last, after the optimizer step
     model.step_count += 1
     return StepReport(l_fc=l_fc.item(), l_sc=l_sc.item(), total=total.item(), epsilons=epsilons)
 
@@ -312,13 +311,12 @@ def _check_batch_size(batch_size: int) -> None:
         raise ConfigError(f"batch_size must be positive, got {batch_size}")
 
 
-def evaluate(model, x: np.ndarray, y: np.ndarray, batch_size: int = 256,
-             threads: int | None = None) -> Metrics:
+def evaluate(model, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> Metrics:
     """Forecast metrics of any `.predict` model over a windowed split.
 
-    Batches are sharded over `threads` threads (default DISENTS_THREADS) of
-    numcore's shared pool; the reduction order is fixed by batch index, so
-    results do not depend on the thread count."""
+    Batches are sharded over DISENTS_THREADS threads of numcore's shared
+    pool; the reduction order is fixed by batch index, so results do not
+    depend on the thread count."""
     _check_batch_size(batch_size)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -332,7 +330,7 @@ def evaluate(model, x: np.ndarray, y: np.ndarray, batch_size: int = 256,
         diff = model.predict(x[start:start + batch_size]) - y[start:start + batch_size]
         return (diff * diff).sum(axis=(0, 2)), np.abs(diff).sum()
 
-    partials = nc.pool_map(shard, starts, nc.thread_count(threads))
+    partials = nc.pool_map(shard, starts)
     sq_by_channel = np.zeros(x.shape[1])
     abs_total = 0.0
     for sq, ab in partials:

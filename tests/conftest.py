@@ -26,9 +26,9 @@ settings.load_profile("disents")
 @pytest.fixture(autouse=True)
 def _drop_shared_pool():
     """Shut numcore's shared pool down after each test, so a pool sized by
-    one test's DISENTS_THREADS (or `threads=`) cannot carry into the next.
+    one test's DISENTS_THREADS cannot carry into the next.
 
     The suite is meant to run with DISENTS_THREADS unset, so only tests that
-    set it, or pass `threads=` to `evaluate`, take the threaded path."""
+    set it take the threaded path."""
     yield
     nc.drop_pool()

@@ -354,11 +354,11 @@ def test_criterion_5_closed_form_losses():
     registry = EmaRegistry(1, lookback, horizon, alpha=0.9, rng=init_rng(0))
     w0 = rng.normal(size=(lookback, horizon))
     w = rng.normal(size=(lookback, horizon))
-    registry.update(0, w0)  # first update copies, so gamma_0 = w0
+    registry.update(w0[np.newaxis])  # first update copies, so gamma_0 = w0
     base_gap = float(np.linalg.norm(w0 - w))
     worst_decay = 0.0
     for t in range(1, 9):
-        registry.update(0, w)
+        registry.update(w[np.newaxis])
         gap = float(np.linalg.norm(registry.gamma[0] - w))
         worst_decay = max(worst_decay, abs(gap - 0.9**t * base_gap))
 

@@ -1,11 +1,16 @@
 """Command-line behaviour: config precedence, artifact schemas, exact
 train/eval agreement, determinism across reruns, and exit codes."""
 
+import contextlib
+import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +173,16 @@ def test_baseline_artifacts(workspace):
         assert trained[key] == metrics[key]
 
 
+@pytest.mark.parametrize("flag", [["--k-experts", "4"], ["--lambda", "5"], ["--topk", "3"],
+                                  ["--gate-heads", "3"], ["--raw-similarity"]],
+                         ids=lambda flag: flag[0])
+def test_baseline_rejects_the_mixture_flags(flag, workspace):
+    """The baseline builds one expert and no gate, so it takes no flag for them."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["baseline", "--dataset", str(workspace["csv"]), *flag])
+    assert exit_info.value.code == 2
+
+
 def test_config_errors_exit_2(workspace, tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path)]) == 2  # no dataset
     assert main(["train", "--dataset", str(workspace["csv"]),
@@ -223,10 +238,12 @@ def test_bad_thread_count_exits_2_before_reading_data(workspace, tmp_path, monke
         raise AssertionError(f"read {path} despite a bad DISENTS_THREADS")
 
     monkeypatch.setattr(cli, "load_csv", unread)
-    monkeypatch.setenv("DISENTS_THREADS", "abc")
-    assert main(["train", "--dataset", str(workspace["csv"]), "--out", str(tmp_path),
-                 *TRAIN_FLAGS]) == 2
-    assert "error: DISENTS_THREADS must be an integer" in capsys.readouterr().err
+    for threads, message in (("abc", "must be an integer"), ("0", "must be at least 1"),
+                             ("-1", "must be at least 1")):
+        monkeypatch.setenv("DISENTS_THREADS", threads)
+        assert main(["train", "--dataset", str(workspace["csv"]), "--out", str(tmp_path),
+                     *TRAIN_FLAGS]) == 2
+        assert f"error: DISENTS_THREADS {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw", [
@@ -358,3 +375,137 @@ def test_module_invocation_round_trip(tmp_path):
     bad = subprocess.run([sys.executable, "-m", "disents", "train"],
                          capture_output=True, text=True)
     assert bad.returncode == 2
+
+
+PATH_KINDS = ("missing", "directory", "file", "under-a-file", "empty", "not-utf8",
+              "tampered-checkpoint")
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A 600-row synthetic, a checkpoint trained on it for one epoch, and a
+    valid config file: the proper contents each path kind stands in for."""
+    root = tmp_path_factory.mktemp("tiny-run")
+    assert main(["synth", "--out", str(root / "data"), "--length", "600",
+                 "--channels-per-group", "1", "--seed", "0"]) == 0
+    assert main(["train", "--dataset", str(root / "data" / "synthetic.csv"),
+                 "--out", str(root / "run"), "--lookback", "16", "--horizon", "8",
+                 "--gate-dim", "16", "--gate-heads", "2", "--epochs", "1",
+                 "--batch-size", "64"]) == 0
+    (root / "run.json").write_text(json.dumps({"epochs": 1, "batch_size": 64}))
+    return root
+
+
+def _tamper(checkpoint, how):
+    manifest_path = checkpoint / "manifest.json"
+    manifest = read_json(manifest_path)
+    if how == "format":
+        manifest["format"] = 2
+    elif how == "shape":
+        manifest["arrays"][0]["shape"][0] += 1
+    elif how == "truncate":
+        data = checkpoint / manifest["arrays"][-1]["file"]
+        data.write_bytes(data.read_bytes()[:-8])
+    else:  # a missing config field
+        del manifest["meta"]["config"]["gate"]
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def _path_of(kind, role, tiny_run, root, data):
+    """A fresh path of the given kind under `root`. A regular file holds the
+    proper contents of its role where the role names a file."""
+    path = root / f"{role}-{kind}"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "file":
+        proper = {"dataset": tiny_run / "data" / "synthetic.csv",
+                  "labels": tiny_run / "data" / "synthetic.labels.csv"}
+        shutil.copyfile(proper.get(role, tiny_run / "run.json"), path)
+    elif kind == "under-a-file":
+        path.write_text("a plain file\n")
+        path = path / "sub"
+    elif kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "not-utf8":
+        path.write_bytes(b"date,a\n0,\xff\xfe\n1,2\n")
+    elif kind == "tampered-checkpoint":
+        shutil.copytree(tiny_run / "run" / "checkpoint", path)
+        _tamper(path, data.draw(st.sampled_from(["format", "shape", "truncate", "config"])))
+    return path
+
+
+COMMON_FLAGS = {"--seed": ["0", "1", "-1"]}
+WINDOW_FLAGS = {"--stride": ["1", "2", "0"], "--split": ["0.6,0.2,0.2", "0.5,0.5", "a,b,c"]}
+MODEL_FLAGS = {**WINDOW_FLAGS, "--backbone": ["linear", "decomp-linear", "mlp"],
+               "--decomp-kernel": ["3", "4"], "--hidden": ["8", "0"], "--epochs": ["1", "0"],
+               "--batch-size": ["64", "0"], "--lr": ["0.001", "1e300"], "--patience": ["0", "-1"]}
+MIXTURE_FLAGS = {"--k-experts": ["1", "2", "3", "0"], "--lambda": ["0.0", "0.1"],
+                 "--alpha": ["0.5", "1.5"], "--topk": ["1", "4", "0"], "--tau": ["0.5", "0.0"],
+                 "--raw-similarity": [None], "--gate-heads": ["2", "3"],
+                 "--gate-dropout": ["0.0", "1.0"]}
+SUBCOMMANDS = {
+    # paths the subcommand reads or writes, the flags that keep a run tiny, and drawn flags
+    "synth": (["--out", "--config"], ["--length", "600", "--channels-per-group", "1"],
+              {"--length": ["600", "5"], "--channels-per-group": ["1", "0"],
+               "--noise": ["0.1", "-1.0"]}),
+    "train": (["--dataset", "--out", "--config"],
+              ["--lookback", "16", "--horizon", "8", "--gate-dim", "16", "--gate-heads", "2",
+               "--epochs", "1", "--batch-size", "64"], {**MODEL_FLAGS, **MIXTURE_FLAGS}),
+    "baseline": (["--dataset", "--out", "--config"],
+                 ["--lookback", "16", "--horizon", "8", "--epochs", "1", "--batch-size", "64"],
+                 MODEL_FLAGS),
+    "eval": (["--checkpoint", "--dataset", "--out", "--config"], [], WINDOW_FLAGS),
+    "inspect lwa": (["--checkpoint", "--dataset", "--out", "--config"], ["--batch-size", "8"],
+                    {"--batch-size": ["8", "0"]}),
+    "inspect routing": (["--checkpoint", "--dataset", "--out", "--labels", "--config"], [],
+                        {}),
+}
+
+
+def test_any_run_exits_0_2_or_3_with_an_error_line(tiny_run, tmp_path_factory):
+    """Any subcommand, flags that argparse accepts, any DISENTS_THREADS, and
+    each path argument a valid one or one of PATH_KINDS: `main` returns 0,
+    2 or 3, says why on stderr when it fails, and raises nothing."""
+    drawn_kinds = set()
+    codes = set()
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def run(data):
+        command = data.draw(st.sampled_from(sorted(SUBCOMMANDS)))
+        path_flags, tiny_flags, choices = SUBCOMMANDS[command]
+        root = tmp_path_factory.mktemp("run")
+        argv = [*command.split(), *tiny_flags]
+        for flag in path_flags:
+            kind = data.draw(st.just("valid") | st.sampled_from(PATH_KINDS), label=flag)
+            if kind == "valid":
+                if flag in ("--config", "--labels"):
+                    continue  # not given: the defaults, or the dataset's sidecar
+                path = {"--dataset": tiny_run / "data" / "synthetic.csv",
+                        "--checkpoint": tiny_run / "run" / "checkpoint",
+                        "--out": root / "out"}[flag]
+            else:
+                drawn_kinds.add(kind)
+                path = _path_of(kind, flag.lstrip("-"), tiny_run, root, data)
+            argv += [flag, str(path)]
+        for flag, values in {**COMMON_FLAGS, **choices}.items():
+            if data.draw(st.booleans(), label=f"give {flag}"):
+                value = data.draw(st.sampled_from(values), label=flag)
+                argv += [flag] if value is None else [flag, value]
+        threads = data.draw(st.sampled_from([None, "1", "2", "abc", "0"]), label="threads")
+        env = {k: v for k, v in os.environ.items() if k != "DISENTS_THREADS"}
+        if threads is not None:
+            env["DISENTS_THREADS"] = threads
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, env, clear=True), warnings.catch_warnings(), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore", RuntimeWarning)  # an lr of 1e300 overflows
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, code)
+        if code:
+            assert err.getvalue().startswith(("error:", "numeric failure:")), (argv, err.getvalue())
+        codes.add(code)
+
+    run()
+    assert drawn_kinds == set(PATH_KINDS)
+    assert {0, 2} <= codes, codes  # exit 3 has its own test, test_numeric_blowup_exits_3

@@ -7,8 +7,8 @@ from scipy.special import erf
 
 import disents.numcore as nc
 from disents.errors import ConfigError, ContractError, ShapeError
-from disents.gating import (GateConfig, GateParams, attention_mix, cross_attend, embed_channels,
-                            embed_forecasters, route)
+from disents.gating import (GateConfig, GateParams, attention_mix, cross_attend, embed_forecasters,
+                            route)
 from disents.numcore import Tensor, backward, grad_check, recording
 
 
@@ -157,7 +157,7 @@ def test_signatures_are_read_as_constants():
 def test_shape_and_contract_errors():
     gate = make_gate()
     with pytest.raises(ShapeError):
-        embed_channels(Tensor(np.ones((2, 3, 7))), gate)
+        route(Tensor(np.ones((2, 3, 7))), rand_sigs(gate), gate)
     with pytest.raises(ShapeError):
         embed_forecasters(np.ones((3, 8, 5)), gate)
     with pytest.raises(ContractError):
@@ -194,7 +194,7 @@ def test_gate_parameter_gradients_pass_finite_differences():
 
 def test_cross_attend_output_shape():
     gate = make_gate()
-    h_x = embed_channels(Tensor(np.random.default_rng(20).normal(size=(3, 4, 8))), gate)
+    rows = Tensor(np.random.default_rng(20).normal(size=(12, 8)))
     h_f = embed_forecasters(rand_sigs(gate), gate)
-    out = cross_attend(h_x, h_f, gate)
-    assert out.shape == (3, 4, 8)
+    out = cross_attend(rows, h_f, gate)
+    assert out.shape == (12, 8)

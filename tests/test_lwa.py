@@ -156,10 +156,22 @@ def test_registry_starts_noisy_and_uninitialized():
 
 def test_registry_first_update_copies_verbatim():
     reg = EmaRegistry(2, 4, 3, alpha=0.9, rng=np.random.default_rng(6))
-    w = np.random.default_rng(7).normal(size=(4, 3))
-    reg.update(0, w)
-    assert np.array_equal(reg.gamma[0], w)
-    assert reg.initialized == [True, False]
+    w = np.random.default_rng(7).normal(size=(2, 4, 3))
+    reg.update(w)
+    assert np.array_equal(reg.gamma, w)
+    assert reg.initialized == [True, True]
+
+
+def test_registry_blends_initialized_experts_and_copies_the_rest():
+    reg = EmaRegistry(2, 4, 3, alpha=0.9, rng=np.random.default_rng(6))
+    reg.initialized = [True, False]  # as a checkpoint with mixed flags loads
+    gamma, prev = reg.gamma, reg.gamma.copy()
+    w = np.random.default_rng(7).normal(size=(2, 4, 3))
+    reg.update(w)
+    assert reg.gamma is gamma  # written in place: a model's arrays() are views of it
+    assert np.array_equal(reg.gamma[0], 0.9 * prev[0] + (1.0 - 0.9) * w[0])
+    assert np.array_equal(reg.gamma[1], w[1])
+    assert reg.initialized == [True, True]
 
 
 def test_registry_geometric_decay_toward_fixed_signature():
@@ -170,7 +182,7 @@ def test_registry_geometric_decay_toward_fixed_signature():
     reg.gamma[0] = gamma0.copy()
     reg.initialized[0] = True
     for t in range(1, 8):
-        reg.update(0, w)
+        reg.update(w[np.newaxis])
         expected = 0.9 ** t * np.linalg.norm(gamma0 - w)
         assert abs(np.linalg.norm(reg.gamma[0] - w) - expected) <= 1e-9
 
@@ -180,7 +192,7 @@ def test_registry_update_is_elementwise_convex():
     reg.initialized[0] = True
     prev = reg.gamma[0].copy()
     w = np.random.default_rng(11).normal(size=(3, 3))
-    reg.update(0, w)
+    reg.update(w[np.newaxis])
     lo, hi = np.minimum(prev, w), np.maximum(prev, w)
     assert (reg.gamma[0] >= lo - 1e-15).all() and (reg.gamma[0] <= hi + 1e-15).all()
 
@@ -189,21 +201,21 @@ def test_registry_alpha_extremes():
     rng = np.random.default_rng(12)
     w1, w2 = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
     fresh = EmaRegistry(1, 2, 2, alpha=0.0, rng=np.random.default_rng(13))
-    fresh.update(0, w1)
-    fresh.update(0, w2)
+    fresh.update(w1[np.newaxis])
+    fresh.update(w2[np.newaxis])
     assert np.array_equal(fresh.gamma[0], w2)  # alpha 0 keeps only the newest
     frozen = EmaRegistry(1, 2, 2, alpha=1.0, rng=np.random.default_rng(14))
-    frozen.update(0, w1)
-    frozen.update(0, w2)
+    frozen.update(w1[np.newaxis])
+    frozen.update(w2[np.newaxis])
     assert np.array_equal(frozen.gamma[0], w1)  # alpha 1 never moves after the copy
 
 
 def test_registry_errors():
     reg = EmaRegistry(2, 3, 3, alpha=0.9, rng=np.random.default_rng(15))
-    with pytest.raises(ContractError):
-        reg.update(2, np.zeros((3, 3)))
     with pytest.raises(ShapeError):
-        reg.update(0, np.zeros((3, 4)))
+        reg.update(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError):
+        reg.update(np.zeros((3, 3)))  # one expert's signature, not the stack
 
 
 def test_signature_error_formula():

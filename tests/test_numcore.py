@@ -714,9 +714,10 @@ def test_a_failing_chunk_raises_after_every_chunk_has_run(monkeypatch):
     assert len(done) == 3
 
 
-def test_pool_map_keeps_item_order_and_runs_inline_on_a_worker():
-    assert nc.pool_map(lambda i: i * i, range(7), 3) == [i * i for i in range(7)]
-    inner = nc.pool_map(lambda i: nc.pool_map(lambda j: (i, j), range(2), 3), range(4), 3)
+def test_pool_map_keeps_item_order_and_runs_inline_on_a_worker(monkeypatch):
+    monkeypatch.setenv("DISENTS_THREADS", "3")
+    assert nc.pool_map(lambda i: i * i, range(7)) == [i * i for i in range(7)]
+    inner = nc.pool_map(lambda i: nc.pool_map(lambda j: (i, j), range(2)), range(4))
     assert inner == [[(i, 0), (i, 1)] for i in range(4)]
 
 

@@ -253,7 +253,7 @@ def test_train_step_tape_does_not_grow_with_k(kind, monkeypatch):
         opt = AdamState.for_params([t for _, t in model.named_parameters()], lr=1e-3)
         train_step(model, data.train_x[:8], data.train_y[:8], opt, train_rng(24))
         counts.append(len(records[-1]))
-    entries = {"linear": 67, "decomp-linear": 69, "mlp": 69}[kind]
+    entries = {"linear": 63, "decomp-linear": 65, "mlp": 65}[kind]
     assert counts == [entries] * 3, counts
 
 
@@ -364,8 +364,7 @@ def test_zero_contrast_weight_matches_plain_step():
                     for m in range(2)]
             backward(l_fc)
         adam_step(manual_params, [p.grad for p in manual_params], manual_opt)
-        for m in range(2):
-            manual.registry.update(m, sigs[m].data)
+        manual.registry.update(np.stack([sig.data for sig in sigs]))
     for (name, ta), (_, tb) in zip(auto.named_parameters(), manual.named_parameters()):
         assert np.array_equal(ta.data, tb.data), name
     assert np.array_equal(auto.registry.gamma, manual.registry.gamma)
@@ -470,16 +469,19 @@ def test_evaluate_thread_count_independence(monkeypatch):
     rng = np.random.default_rng(16)
     x = rng.normal(size=(40, 2, 12))
     y = rng.normal(size=(40, 2, 6))
-    serial = evaluate(model, x, y, batch_size=8, threads=1)
-    threaded = evaluate(model, x, y, batch_size=8, threads=4)
+    monkeypatch.setenv("DISENTS_THREADS", "1")
+    serial = evaluate(model, x, y, batch_size=8)
+    monkeypatch.setenv("DISENTS_THREADS", "4")
+    threaded = evaluate(model, x, y, batch_size=8)
     assert serial.mse == threaded.mse and serial.mae == threaded.mae
     assert serial.per_channel_mse == threaded.per_channel_mse
     monkeypatch.setenv("DISENTS_THREADS", "3")
     from_env = evaluate(model, x, y, batch_size=8)
     assert from_env.mse == serial.mse
-    monkeypatch.setenv("DISENTS_THREADS", "abc")
-    with pytest.raises(ConfigError, match="DISENTS_THREADS"):
-        evaluate(model, x, y, batch_size=8)
+    for bad in ("abc", "0", "-7"):
+        monkeypatch.setenv("DISENTS_THREADS", bad)
+        with pytest.raises(ConfigError, match="DISENTS_THREADS"):
+            evaluate(model, x, y, batch_size=8)
 
 
 def test_evaluate_input_validation():
@@ -589,11 +591,13 @@ def test_cached_signature_embedding_gives_the_fresh_outputs(monkeypatch):
     model.set_parameter("gate.sig_b2", nc.parameter(model.gate.params["sig_b2"].data + 0.1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    monkeypatch.setenv("DISENTS_THREADS", "8")
     try:
-        raced = evaluate(model, x, y, batch_size=1, threads=8)
+        raced = evaluate(model, x, y, batch_size=1)
     finally:
         sys.setswitchinterval(interval)
-    assert raced == evaluate(fresh, x, y, batch_size=1, threads=1)
+    monkeypatch.setenv("DISENTS_THREADS", "1")
+    assert raced == evaluate(fresh, x, y, batch_size=1)
 
 
 def test_serving_embeds_the_signatures_once(monkeypatch):
@@ -602,7 +606,8 @@ def test_serving_embeds_the_signatures_once(monkeypatch):
     calls = _count_embeddings(monkeypatch)
     for i in range(10):
         model.predict(data.test_x[i:i + 1])
-    evaluate(model, data.test_x, data.test_y, batch_size=4, threads=2)
+    monkeypatch.setenv("DISENTS_THREADS", "2")
+    evaluate(model, data.test_x, data.test_y, batch_size=4)
     assert len(calls) == 1
 
 
@@ -643,7 +648,7 @@ def _write_registry_array(model, data, opt, rng, tmp_path):
 
 def _write_registry_update(model, data, opt, rng, tmp_path):
     model.registry.alpha = 0.5  # at 1.0 an update leaves the registry as it is
-    model.registry.update(0, np.ones_like(model.registry.gamma[0]))
+    model.registry.update(np.ones_like(model.registry.gamma))
     return model
 
 
@@ -794,14 +799,15 @@ def test_threaded_evaluate_of_large_batches_finishes():
         runner.start()
         runner.join(timeout=60)
     assert not runner.is_alive(), "evaluate did not finish within 60 s"
-    assert result == [evaluate(model, x, y, batch_size=32, threads=1)]
+    with mock.patch.dict(os.environ, {"DISENTS_THREADS": "1"}):
+        assert result == [evaluate(model, x, y, batch_size=32)]
 
 
 def test_threaded_evaluate_of_a_large_expert_stack_finishes(monkeypatch):
     """A decomp-linear forward of 64 windows x 8 channels holds [4, 512, 32]
     expert stacks, SPLIT_MIN elements each. As one batch on the calling
     thread, every stacked `linear` splits over the pool by matrix; as shards
-    on pool workers, each runs inline. Both finish and match threads=1."""
+    on pool workers, each runs inline. Both finish and match one thread."""
     model = DisenTSModel(ModelConfig(n_experts=4, backbone=BackboneConfig(
         "decomp-linear", 16, 32, decomp_kernel=5)), seed=30)
     rng = np.random.default_rng(30)
@@ -823,7 +829,8 @@ def test_threaded_evaluate_of_a_large_expert_stack_finishes(monkeypatch):
         runner.join(timeout=60)
     assert not runner.is_alive(), "evaluate did not finish within 60 s"
     assert max(stacks) >= nc.SPLIT_MIN
-    assert result == [evaluate(model, x, y, batch_size=b, threads=1) for b in (128, 64)]
+    with mock.patch.dict(os.environ, {"DISENTS_THREADS": "1"}):
+        assert result == [evaluate(model, x, y, batch_size=b) for b in (128, 64)]
 
 
 @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-10, 8),
