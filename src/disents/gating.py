@@ -100,7 +100,7 @@ def embed_forecasters(signatures: np.ndarray, gate: GateParams) -> Tensor:
 
 def _heads(x: Tensor, heads: int) -> Tensor:
     """[R, d] -> [heads, R, d / heads], each head a view with a column slice's strides."""
-    return nc.transpose(nc.reshape(x, (x.shape[0], heads, -1)), axes=(1, 0, 2))
+    return nc.transpose(nc.reshape(x, (x.shape[0], heads, x.shape[1] // heads)), axes=(1, 0, 2))
 
 
 def attention_mix(queries: Tensor, keys: Tensor, gate: GateParams) -> Tensor:

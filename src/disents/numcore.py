@@ -17,15 +17,17 @@ evaluation threads that never open a recording stay independent.
 
 The module owns one thread pool, made on first use and sized by
 `thread_count()` (DISENTS_THREADS, else 1). `pool_map` spreads independent
-tasks over it, as `pipeline.evaluate` does with its batches. `by_rows`
+tasks over it, as `pipeline.evaluate` does with its batches and
+`DisenTSModel.predict` with the row chunks of a large batch. `by_rows`
 splits a kernel over the leading axis of an array of at least SPLIT_MIN
 elements, one contiguous chunk per thread. `gelu` runs both directions that
 way, in place in preallocated buffers, and so does a stacked `linear`, over
 its K matrices. Every element sees the same operations in the same order
 however the rows are split (a matrix of a stack is one BLAS call either
-way), so results do not depend on the thread count. Smaller arrays run on the
-calling thread without reading the environment, and a pool worker runs
-everything inline, so no worker ever waits on the pool.
+way), and the tasks given to `pool_map` are cut by their callers without
+reading the thread count, so results do not depend on it. Smaller arrays run
+on the calling thread without reading the environment, and a pool worker
+runs everything inline, so no worker ever waits on the pool.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -234,11 +236,23 @@ def drop_pool() -> None:
 def pool_map(fn: Callable, items: Sequence) -> list:
     """`[fn(i) for i in items]`, spread over `thread_count()` threads of the
     shared pool; on the calling thread when there is one thread or one item,
-    or when the caller is itself a pool worker."""
+    or when the caller is itself a pool worker.
+
+    A failure cancels the tasks that have not started and is raised, the
+    first in item order, only once every other task has ended or been
+    cancelled, so no task still runs when `pool_map` returns or raises."""
     threads = thread_count()
     if threads == 1 or len(items) <= 1 or _on_worker():
         return [fn(i) for i in items]
-    return list(_pool(threads).map(fn, items))
+    pool = _pool(threads)
+    futures = [pool.submit(fn, item) for item in items]
+    wait(futures, return_when=FIRST_EXCEPTION)
+    for future in futures:  # no-op on a task that has started or ended
+        future.cancel()
+    wait(futures)
+    # The pool starts tasks in item order, so every failed task comes before
+    # every cancelled one, and this raises the first failure.
+    return [future.result() for future in futures]
 
 
 def by_rows(fn: Callable, x: Array) -> None:

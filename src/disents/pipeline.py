@@ -33,6 +33,9 @@ from .numcore import AdamState, Tensor, adam_step, backward, recording
 from .objectives import LossConfig, mse_loss, similarity_constraint, total_loss
 
 
+PREDICT_ROWS = 2048  # (window, channel) rows in one chunk of a batch forecast
+
+
 def init_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, 0]))
 
@@ -193,8 +196,22 @@ class DisenTSModel:
         return embedded
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Evaluation-mode forecasts, [B, C, L] -> [B, C, H]."""
-        return forward(self, x, training=False).y_hat.data
+        """Evaluation-mode forecasts, [B, C, L] -> [B, C, H].
+
+        The batch is cut into chunks of `max(1, PREDICT_ROWS // C)` windows,
+        forecast over numcore's shared pool and concatenated; a batch of one
+        chunk runs inline. Each (window, channel) row is routed and forecast
+        on its own, and the cut depends only on C, so the result does not
+        depend on the thread count. It equals one `forward` over the whole
+        batch to rounding: OpenBLAS gives the gate's small `w_out` head
+        other last bits for fewer rows."""
+        x = np.asarray(x, dtype=np.float64)
+        step = max(1, PREDICT_ROWS // max(x.shape[1], 1)) if x.ndim == 3 else None
+        if step is None or x.shape[0] <= step:
+            return forward(self, x, training=False).y_hat.data
+        chunks = nc.pool_map(lambda i: forward(self, x[i:i + step], training=False).y_hat.data,
+                             range(0, x.shape[0], step))
+        return np.concatenate(chunks)
 
 
 @dataclass

@@ -4,6 +4,7 @@ tape, which backward replays once and then frees."""
 
 import gc
 import math
+import time
 import tracemalloc
 import zlib
 
@@ -719,6 +720,37 @@ def test_pool_map_keeps_item_order_and_runs_inline_on_a_worker(monkeypatch):
     assert nc.pool_map(lambda i: i * i, range(7)) == [i * i for i in range(7)]
     inner = nc.pool_map(lambda i: nc.pool_map(lambda j: (i, j), range(2)), range(4))
     assert inner == [[(i, 0), (i, 1)] for i in range(4)]
+
+
+def test_pool_map_raises_a_failure_only_after_every_task_has_ended(monkeypatch):
+    """A failing task must not leave a slower one running once `pool_map`
+    raises; a task still queued is cancelled or run to its end."""
+    monkeypatch.setenv("DISENTS_THREADS", "2")
+    started, ended = set(), set()
+
+    def fn(i):
+        started.add(i)
+        try:
+            if i == 0:
+                raise NumericError("task 0 failed")
+            time.sleep(0.3 if i == 1 else 0.0)
+        finally:
+            ended.add(i)
+
+    with pytest.raises(NumericError, match="task 0 failed"):
+        nc.pool_map(fn, range(4))
+    assert {0, 1} <= started and ended == started
+
+
+def test_pool_map_raises_the_first_failure_in_item_order(monkeypatch):
+    monkeypatch.setenv("DISENTS_THREADS", "2")
+
+    def fn(i):
+        time.sleep(0.2 if i == 0 else 0.0)
+        raise NumericError(f"task {i} failed")
+
+    with pytest.raises(NumericError, match="task 0 failed"):
+        nc.pool_map(fn, range(2))
 
 
 def _affine_taped(op, x, w, b, g):

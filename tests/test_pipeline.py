@@ -833,6 +833,58 @@ def test_threaded_evaluate_of_a_large_expert_stack_finishes(monkeypatch):
         assert result == [evaluate(model, x, y, batch_size=b) for b in (128, 64)]
 
 
+def _chunked_batch():
+    """A trained K=3 model with the default 64-wide gate and 1500 windows of
+    3 channels: three predict chunks of 682, 682 and 136 windows. Its
+    `w_out` head gives other last bits on other row counts, so a cut in
+    other places shows."""
+    config = ModelConfig(n_experts=3, backbone=BackboneConfig("linear", 12, 6))
+    model, _, _, _ = _trained(config, seed=32)
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(1500, 3, 12)) * 2.0 + rng.normal(size=(1500, 3, 1))
+    step = pipeline.PREDICT_ROWS // 3
+    assert step == 682 and 2 * step < x.shape[0] < 3 * step
+    return model, x, step
+
+
+def test_predict_is_the_forward_of_its_row_chunks_at_any_thread_count(monkeypatch):
+    model, x, step = _chunked_batch()
+    chunks = np.concatenate([forward(model, x[i:i + step]).y_hat.data
+                             for i in range(0, x.shape[0], step)])
+    whole = forward(model, x).y_hat.data
+    assert np.abs(chunks - whole).max() <= 1e-12 * np.abs(whole).max()
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("DISENTS_THREADS", threads)
+        assert model.predict(x).tobytes() == chunks.tobytes()
+        assert model.predict(x[:step]).tobytes() == forward(model, x[:step]).y_hat.data.tobytes()
+
+
+def test_evaluate_of_batches_spanning_several_chunks_is_thread_invariant(monkeypatch):
+    model, x, _ = _chunked_batch()
+    y = np.random.default_rng(33).normal(size=(x.shape[0], 3, 6))
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DISENTS_THREADS", threads)
+        results.append(evaluate(model, x, y, batch_size=1024))
+    assert results[0] == results[1]
+
+
+def test_a_nan_window_in_a_later_chunk_raises_from_predict(monkeypatch):
+    model, x, step = _chunked_batch()
+    x[step + 5, 1, 3] = np.nan
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DISENTS_THREADS", threads)
+        with pytest.raises(NumericError):
+            model.predict(x)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_predict_returns_an_empty_forecast_for_no_windows_or_no_channels(k):
+    model = DisenTSModel(small_config(k), seed=34)
+    for shape in [(0, 3, 12), (4, 0, 12), (0, 0, 12), (pipeline.PREDICT_ROWS + 1, 0, 12)]:
+        assert model.predict(np.zeros(shape)).shape == shape[:2] + (6,)
+
+
 @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-10, 8),
        offset=st.floats(-1e6, 1e6), flat=st.sampled_from([0.0, 1e-13, 1.0]))
 def test_stationarizer_round_trip_holds_to_the_input_scale(seed, log_scale, offset, flat):
