@@ -68,7 +68,6 @@ class RunConfig:
     gate_heads: int = 4
     gate_dropout: float = 0.1
     eps_norm: float = 1e-5
-    eval_batch_size: int = 256
     synth_length: int = 4000
     synth_channels_per_group: int = 4
     synth_noise: float = 0.1
@@ -115,8 +114,6 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"k_experts must be positive, got {config.k_experts}")
     if config.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {config.seed}")
-    if config.eval_batch_size < 1:
-        raise ConfigError(f"eval_batch_size must be positive, got {config.eval_batch_size}")
     lists = {
         "synth_periods": config.synth_periods,
         "synth_amplitudes": config.synth_amplitudes,
@@ -232,7 +229,7 @@ def cmd_train(config: RunConfig) -> int:
     out_dir = _output_dir(config)
     t0 = time.perf_counter()
     fit(model, windows, _train_config(config), log_path=out_dir / "train_log.jsonl")
-    metrics = evaluate(model, windows.test_x, windows.test_y, config.eval_batch_size)
+    metrics = evaluate(model, windows.test_x, windows.test_y)
     runtime = time.perf_counter() - t0
     metrics_path = _write_metrics(out_dir, metrics, runtime)
     save_model(model, out_dir / "checkpoint")
@@ -247,7 +244,7 @@ def cmd_eval(config: RunConfig) -> int:
     bb = model.config.backbone
     _, windows = _windows(config, bb.lookback, bb.horizon)
     t0 = time.perf_counter()
-    metrics = evaluate(model, windows.test_x, windows.test_y, config.eval_batch_size)
+    metrics = evaluate(model, windows.test_x, windows.test_y)
     metrics_path = _write_metrics(_output_dir(config), metrics, time.perf_counter() - t0)
     print(f"test mse {metrics.mse:.6f} mae {metrics.mae:.6f}; wrote {metrics_path}")
     return 0
@@ -292,7 +289,7 @@ def cmd_inspect(config: RunConfig, target: str) -> int:
                        else Path(config.labels))
         if config.labels is not None and not labels_path.is_file():
             raise ConfigError(f"labels file {labels_path} does not exist")
-        beta = mean_routing(model, windows.test_x, config.eval_batch_size)
+        beta = mean_routing(model, windows.test_x)
         np.savetxt(out_dir / "routing.csv", beta, delimiter=",")
         summary: dict = {"channels": dataset.channel_names,
                          "argmax": [int(v) for v in beta.argmax(axis=1)]}

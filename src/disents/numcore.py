@@ -17,10 +17,10 @@ evaluation threads that never open a recording stay independent.
 
 The module owns one thread pool, made on first use and sized by
 `thread_count()` (DISENTS_THREADS, else 1). `pool_map` spreads independent
-tasks over it, as `pipeline.evaluate` does with its batches and
-`DisenTSModel.predict` with the row chunks of a large batch. `by_rows`
-splits a kernel over the leading axis of an array of at least SPLIT_MIN
-elements, one contiguous chunk per thread. `gelu` runs both directions that
+tasks over it, as `pipeline` does with the row chunks of an eval stack
+in `predict`, `evaluate` and `mean_routing`. `by_rows` splits a kernel
+over the leading axis of an array of at least SPLIT_MIN elements, one
+contiguous chunk per thread. `gelu` runs both directions that
 way, in place in preallocated buffers, and so does a stacked `linear`, over
 its K matrices. Every element sees the same operations in the same order
 however the rows are split (a matrix of a stack is one BLAS call either

@@ -33,7 +33,7 @@ from .numcore import AdamState, Tensor, adam_step, backward, recording
 from .objectives import LossConfig, mse_loss, similarity_constraint, total_loss
 
 
-PREDICT_ROWS = 2048  # (window, channel) rows in one chunk of a batch forecast
+PREDICT_ROWS = 2048  # (window, channel) rows in one chunk of an eval stack
 
 
 def init_rng(seed: int) -> np.random.Generator:
@@ -198,20 +198,24 @@ class DisenTSModel:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Evaluation-mode forecasts, [B, C, L] -> [B, C, H].
 
-        The batch is cut into chunks of `max(1, PREDICT_ROWS // C)` windows,
-        forecast over numcore's shared pool and concatenated; a batch of one
-        chunk runs inline. Each (window, channel) row is routed and forecast
-        on its own, and the cut depends only on C, so the result does not
-        depend on the thread count. It equals one `forward` over the whole
-        batch to rounding: OpenBLAS gives the gate's small `w_out` head
-        other last bits for fewer rows."""
+        Forecasts the `_chunks` of the batch over numcore's shared pool; a
+        batch of one chunk runs inline. The result equals one `forward` over
+        the whole batch to rounding: OpenBLAS gives the gate's small `w_out`
+        head other last bits for fewer rows."""
         x = np.asarray(x, dtype=np.float64)
-        step = max(1, PREDICT_ROWS // max(x.shape[1], 1)) if x.ndim == 3 else None
-        if step is None or x.shape[0] <= step:
-            return forward(self, x, training=False).y_hat.data
-        chunks = nc.pool_map(lambda i: forward(self, x[i:i + step], training=False).y_hat.data,
-                             range(0, x.shape[0], step))
-        return np.concatenate(chunks)
+        return np.concatenate(nc.pool_map(
+            lambda s: forward(self, x[s], training=False).y_hat.data, _chunks(x)))
+
+
+def _chunks(x: np.ndarray) -> list[slice]:
+    """The one cut of every eval stack: a [B, C, L] stack in runs of
+    `max(1, PREDICT_ROWS // C)` windows, one empty run for no windows. Each
+    (window, channel) row is routed and forecast on its own, and the cut
+    depends only on C, so no result depends on the thread count."""
+    if x.ndim != 3:
+        raise ShapeError(f"expected [batch, channels, lookback], got shape {x.shape}")
+    step = max(1, PREDICT_ROWS // max(x.shape[1], 1))
+    return [slice(i, i + step) for i in range(0, max(x.shape[0], 1), step)]
 
 
 @dataclass
@@ -323,38 +327,31 @@ class Metrics:
         return {"mse": self.mse, "mae": self.mae, "per_channel_mse": self.per_channel_mse}
 
 
-def _check_batch_size(batch_size: int) -> None:
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be positive, got {batch_size}")
-
-
-def evaluate(model, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> Metrics:
+def evaluate(model, x: np.ndarray, y: np.ndarray) -> Metrics:
     """Forecast metrics of any `.predict` model over a windowed split.
 
-    Batches are sharded over DISENTS_THREADS threads of numcore's shared
-    pool; the reduction order is fixed by batch index, so results do not
-    depend on the thread count."""
-    _check_batch_size(batch_size)
+    The `_chunks` of the split run over DISENTS_THREADS threads of numcore's
+    shared pool, and their error sums are reduced in chunk order, so results
+    do not depend on the thread count."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 3 or y.ndim != 3 or x.shape[0] != y.shape[0] or x.shape[1] != y.shape[1]:
         raise ShapeError(f"window stacks disagree: inputs {x.shape}, targets {y.shape}")
-    if x.shape[0] == 0:
-        raise ConfigError("evaluate needs at least one window")
-    starts = list(range(0, x.shape[0], batch_size))
+    if x.shape[0] == 0 or x.shape[1] == 0:
+        raise ConfigError(f"evaluate needs at least one window and one channel, got {x.shape}")
 
-    def shard(start: int):
-        diff = model.predict(x[start:start + batch_size]) - y[start:start + batch_size]
+    def errors(s: slice):
+        forecast = model.predict(x[s])
+        if forecast.shape != y[s].shape:  # a target horizon of 1 would broadcast
+            raise ShapeError(f"forecast shape {forecast.shape} does not match targets {y[s].shape}")
+        diff = forecast - y[s]
         return (diff * diff).sum(axis=(0, 2)), np.abs(diff).sum()
 
-    partials = nc.pool_map(shard, starts)
-    sq_by_channel = np.zeros(x.shape[1])
-    abs_total = 0.0
-    for sq, ab in partials:
+    sq_by_channel, abs_total = np.zeros(x.shape[1]), 0.0
+    for sq, ab in nc.pool_map(errors, _chunks(x)):
         sq_by_channel += sq
         abs_total += ab
-    count_per_channel = y.shape[0] * y.shape[2]
-    per_channel = sq_by_channel / count_per_channel
+    per_channel = sq_by_channel / (y.shape[0] * y.shape[2])
     return Metrics(
         mse=float(sq_by_channel.sum() / y.size),
         mae=float(abs_total / y.size),
@@ -439,16 +436,17 @@ def fit(model: DisenTSModel, data: WindowedData, config: TrainConfig,
     return result
 
 
-def mean_routing(model: DisenTSModel, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Average evaluation-mode routing weights over windows, [C, K]."""
-    _check_batch_size(batch_size)
+def mean_routing(model: DisenTSModel, x: np.ndarray) -> np.ndarray:
+    """Average evaluation-mode routing weights over windows, [C, K]. The
+    `_chunks` of the stack run over numcore's shared pool, and their sums
+    are reduced in chunk order."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] == 0:
         raise ShapeError(f"expected a non-empty window stack, got shape {x.shape}")
     totals = np.zeros((x.shape[1], model.n_experts))
-    for start in range(0, x.shape[0], batch_size):
-        beta = forward(model, x[start:start + batch_size], training=False).beta
-        totals += beta.data.sum(axis=0)
+    for part in nc.pool_map(lambda s: forward(model, x[s], training=False).beta.data.sum(axis=0),
+                            _chunks(x)):
+        totals += part
     return totals / x.shape[0]
 
 

@@ -249,7 +249,7 @@ def test_bad_thread_count_exits_2_before_reading_data(workspace, tmp_path, monke
 @pytest.mark.parametrize("raw", [
     {"lookback": 16.0}, {"seed": "1"}, {"epochs": "3"}, {"epochs": 1.5}, {"k_experts": 2.5},
     {"batch_size": 8.0}, {"stride": 1.0}, {"top_k": 1.5}, {"lr": "0.01"},
-    {"gate_dropout": "0.1"}, {"eval_batch_size": "8"}, {"synth_periods": 5},
+    {"gate_dropout": "0.1"}, {"synth_periods": 5},
     {"raw_similarity": "no"}, {"k_experts": True}, {"lr": float("nan")},
     {"synth_harmonics": [11, 18.5]}, {"labels": 3},
 ], ids=lambda raw: "-".join(f"{k}-{type(v).__name__}" for k, v in raw.items()))
@@ -265,6 +265,20 @@ def test_mistyped_config_values_exit_2_before_reading_data(raw, workspace, tmp_p
                  "--out", str(tmp_path)]) == 2
     (key,) = raw
     assert f"error: config key {key} must be" in capsys.readouterr().err
+
+
+def test_a_config_with_an_eval_batch_size_exits_2_naming_the_key_unknown(workspace, tmp_path,
+                                                                        monkeypatch, capsys):
+    """Every eval stack is cut by its channel count alone; no key picks the cut."""
+    def unread(path):
+        raise AssertionError(f"read {path} despite an unknown config key")
+
+    monkeypatch.setattr(cli, "load_csv", unread)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"eval_batch_size": 256}))
+    assert main(["train", "--config", str(cfg), "--dataset", str(workspace["csv"]),
+                 "--out", str(tmp_path)]) == 2
+    assert "error: config key eval_batch_size is unknown" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -467,21 +468,22 @@ def test_evaluate_metrics_formulas():
 def test_evaluate_thread_count_independence(monkeypatch):
     model = DisenTSModel(small_config(2), seed=16)
     rng = np.random.default_rng(16)
-    x = rng.normal(size=(40, 2, 12))
-    y = rng.normal(size=(40, 2, 6))
+    x = rng.normal(size=(2100, 2, 12))
+    y = rng.normal(size=(2100, 2, 6))
+    assert x.shape[0] > 2 * (pipeline.PREDICT_ROWS // 2)  # three chunks
     monkeypatch.setenv("DISENTS_THREADS", "1")
-    serial = evaluate(model, x, y, batch_size=8)
+    serial = evaluate(model, x, y)
     monkeypatch.setenv("DISENTS_THREADS", "4")
-    threaded = evaluate(model, x, y, batch_size=8)
+    threaded = evaluate(model, x, y)
     assert serial.mse == threaded.mse and serial.mae == threaded.mae
     assert serial.per_channel_mse == threaded.per_channel_mse
     monkeypatch.setenv("DISENTS_THREADS", "3")
-    from_env = evaluate(model, x, y, batch_size=8)
+    from_env = evaluate(model, x, y)
     assert from_env.mse == serial.mse
     for bad in ("abc", "0", "-7"):
         monkeypatch.setenv("DISENTS_THREADS", bad)
         with pytest.raises(ConfigError, match="DISENTS_THREADS"):
-            evaluate(model, x, y, batch_size=8)
+            evaluate(model, x, y)
 
 
 def test_evaluate_input_validation():
@@ -490,17 +492,16 @@ def test_evaluate_input_validation():
         evaluate(model, np.zeros((4, 2, 12)), np.zeros((3, 2, 6)))
     with pytest.raises(ConfigError):
         evaluate(model, np.zeros((0, 2, 12)), np.zeros((0, 2, 6)))
-    for batch_size in (0, -1):  # -1 used to score no window and report mse 0.0
-        with pytest.raises(ConfigError, match="batch_size"):
-            evaluate(model, np.zeros((4, 2, 12)), np.zeros((4, 2, 6)), batch_size=batch_size)
-        with pytest.raises(ConfigError, match="batch_size"):
-            mean_routing(model, np.zeros((4, 2, 12)), batch_size=batch_size)
+    with pytest.raises(ConfigError, match="one channel"):  # used to divide 0 by 0 into mse nan
+        evaluate(model, np.zeros((4, 0, 12)), np.zeros((4, 0, 6)))
+    with pytest.raises(ShapeError, match="does not match targets"):  # used to broadcast
+        evaluate(model, np.zeros((4, 2, 12)), np.zeros((4, 2, 1)))
 
 
 def test_mean_routing_is_a_channel_simplex():
     model = DisenTSModel(small_config(3), seed=18)
     x = np.random.default_rng(18).normal(size=(20, 4, 12))
-    avg = mean_routing(model, x, batch_size=8)
+    avg = mean_routing(model, x)
     assert avg.shape == (4, 3)
     assert (avg >= 0).all()
     assert np.abs(avg.sum(axis=1) - 1.0).max() <= 1e-12
@@ -579,25 +580,45 @@ def test_cached_signature_embedding_gives_the_fresh_outputs(monkeypatch):
     cached = model.predict(x)
     assert np.array_equal(cached, fresh.predict(x))
     assert np.array_equal(model.predict(x), cached)
+    # A stack of 2048 channels: chunks of one window, one per test window.
+    x, y = _wide_stack(23, x.shape[0])
     for threads in ("1", "2"):
         monkeypatch.setenv("DISENTS_THREADS", threads)
-        assert evaluate(model, x, y, batch_size=4) == evaluate(fresh, x, y, batch_size=4)
-    totals = np.zeros((x.shape[1], 3))
-    for start in range(0, x.shape[0], 5):
-        xn, _, _ = model.stationarizer.normalize(x[start:start + 5])
-        totals += route(nc.constant(xn), model.registry.gamma, model.gate).data.sum(axis=0)
-    assert np.array_equal(mean_routing(model, x, batch_size=5), totals / x.shape[0])
+        assert evaluate(model, x, y) == evaluate(fresh, x, y)
     # Threads racing to fill a cold cache, more of them than cores, switching often.
     model.set_parameter("gate.sig_b2", nc.parameter(model.gate.params["sig_b2"].data + 0.1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     monkeypatch.setenv("DISENTS_THREADS", "8")
     try:
-        raced = evaluate(model, x, y, batch_size=1)
+        raced = evaluate(model, x, y)
     finally:
         sys.setswitchinterval(interval)
     monkeypatch.setenv("DISENTS_THREADS", "1")
-    assert raced == evaluate(fresh, x, y, batch_size=1)
+    assert raced == evaluate(fresh, x, y)
+
+
+def _wide_stack(seed, windows, channels=pipeline.PREDICT_ROWS):
+    """Random 12 -> 6 windows and targets with enough channels that an eval
+    stack of a few windows spans several chunks."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(windows, channels, 12)), rng.normal(size=(windows, channels, 6))
+
+
+def test_mean_routing_sums_its_chunks_on_the_pool_at_any_thread_count(monkeypatch):
+    """mean_routing is a hand loop over the chunks of the stack, routed with
+    freshly embedded signatures, at every thread count."""
+    model, _, _, _ = _trained(small_config(3), seed=23)
+    x, _ = _wide_stack(35, 7, channels=1000)
+    step = pipeline.PREDICT_ROWS // x.shape[1]
+    assert step == 2 and x.shape[0] > 3 * step  # four chunks
+    totals = np.zeros((x.shape[1], 3))
+    for start in range(0, x.shape[0], step):
+        xn, _, _ = model.stationarizer.normalize(x[start:start + step])
+        totals += route(nc.constant(xn), model.registry.gamma, model.gate).data.sum(axis=0)
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("DISENTS_THREADS", threads)
+        assert mean_routing(model, x).tobytes() == (totals / x.shape[0]).tobytes()
 
 
 def test_serving_embeds_the_signatures_once(monkeypatch):
@@ -607,7 +628,7 @@ def test_serving_embeds_the_signatures_once(monkeypatch):
     for i in range(10):
         model.predict(data.test_x[i:i + 1])
     monkeypatch.setenv("DISENTS_THREADS", "2")
-    evaluate(model, data.test_x, data.test_y, batch_size=4)
+    evaluate(model, *_wide_stack(24, 6))  # six chunks
     assert len(calls) == 1
 
 
@@ -713,10 +734,10 @@ def test_window_views_give_the_bits_of_contiguous_copies(monkeypatch):
         report = train_step(model, data.train_x[5:21], data.train_y[5:21], opt, train_rng(26))
         got = [np.array([report.l_fc, report.l_sc, report.total, *report.epsilons]),
                *model.arrays().values(), model.predict(data.test_x),
-               mean_routing(model, data.val_x, batch_size=16)]
+               mean_routing(model, data.val_x)]
         for threads in ("1", "2"):
             monkeypatch.setenv("DISENTS_THREADS", threads)
-            m = evaluate(model, data.test_x, data.test_y, batch_size=16)
+            m = evaluate(model, data.test_x, data.test_y)
             got.append(np.array([m.mse, m.mae, *m.per_channel_mse]))
         return got
 
@@ -755,64 +776,54 @@ def test_train_steps_are_bit_identical_at_one_and_two_threads(monkeypatch):
         assert a.tobytes() == b.tobytes()
 
 
-@given(batch_size=st.integers(1, 60))
+@given(windows=st.integers(1, 300))
 @settings(max_examples=25)
-def test_evaluate_is_bit_identical_at_any_thread_count(batch_size):
-    """Batches of 16 windows or more (256 channel rows) split the gate FFN
-    over the pool when they run on the calling thread."""
+def test_evaluate_is_bit_identical_at_any_thread_count(windows):
+    """Up to three chunks of 128 windows; a chunk of 16 windows or more
+    (256 channel rows) splits the gate FFN over the pool when it runs on
+    the calling thread."""
     model = _wide_gate_model(28, k=2)
     rng = np.random.default_rng(28)
-    x, y = rng.normal(size=(48, 16, 12)), rng.normal(size=(48, 16, 6))
+    x, y = rng.normal(size=(300, 16, 12)), rng.normal(size=(300, 16, 6))
+    assert pipeline.PREDICT_ROWS // 16 == 128
     results = []
     for threads in ("1", "2", "3"):
         with mock.patch.dict(os.environ, {"DISENTS_THREADS": threads}):
-            results.append(evaluate(model, x, y, batch_size=batch_size))
+            results.append(evaluate(model, x[:windows], y[:windows]))
     assert results[0] == results[1] == results[2]
 
 
-@given(sizes=st.lists(st.integers(1, 40), min_size=2, max_size=2))
-@settings(max_examples=50)
-def test_evaluate_agrees_across_batch_sizes(sizes):
-    """The batch size changes only the summation order of the metrics, so
-    any two agree to 1e-12 relative, not bit for bit."""
-    model = DisenTSModel(_kind_config("mlp", 3), seed=31)
-    rng = np.random.default_rng(31)
-    x = rng.normal(size=(37, 4, 12)) * 3.0 + rng.normal(size=(37, 4, 1))
-    y = rng.normal(size=(37, 4, 6))
-    a, b = (evaluate(model, x, y, batch_size=size) for size in sizes)
-    for got, want in zip([a.mse, a.mae, *a.per_channel_mse],
-                         [b.mse, b.mae, *b.per_channel_mse], strict=True):
-        assert abs(got - want) <= 1e-12 * abs(want), (sizes, got, want)
-
-
 def test_threaded_evaluate_of_large_batches_finishes():
-    """Shards run on pool workers, and a worker runs the GELU rows of its
-    shard itself: if it queued them on the pool it shares with the other
-    shards, every worker would wait on work that no worker is free to run."""
+    """Chunks run on pool workers, and a worker runs the GELU rows of its
+    chunk itself: if it queued them on the pool it shares with the other
+    chunks, every worker would wait on work that no worker is free to run."""
     model = _wide_gate_model(29, k=2)
     rng = np.random.default_rng(29)
-    x, y = rng.normal(size=(96, 16, 12)), rng.normal(size=(96, 16, 6))
+    x, y = rng.normal(size=(300, 16, 12)), rng.normal(size=(300, 16, 6))
+    assert x.shape[0] > 2 * (pipeline.PREDICT_ROWS // 16)  # three chunks
     result = []
     with mock.patch.dict(os.environ, {"DISENTS_THREADS": "2"}):
         runner = threading.Thread(
-            target=lambda: result.append(evaluate(model, x, y, batch_size=32)), daemon=True)
+            target=lambda: result.append(evaluate(model, x, y)), daemon=True)
         runner.start()
         runner.join(timeout=60)
     assert not runner.is_alive(), "evaluate did not finish within 60 s"
     with mock.patch.dict(os.environ, {"DISENTS_THREADS": "1"}):
-        assert result == [evaluate(model, x, y, batch_size=32)]
+        assert result == [evaluate(model, x, y)]
 
 
 def test_threaded_evaluate_of_a_large_expert_stack_finishes(monkeypatch):
     """A decomp-linear forward of 64 windows x 8 channels holds [4, 512, 32]
-    expert stacks, SPLIT_MIN elements each. As one batch on the calling
-    thread, every stacked `linear` splits over the pool by matrix; as shards
-    on pool workers, each runs inline. Both finish and match one thread."""
+    expert stacks, SPLIT_MIN elements each. As one chunk of 256 windows on
+    the calling thread, every stacked `linear` splits over the pool by
+    matrix; as three chunks on pool workers, each runs inline. Both finish
+    and match one thread."""
     model = DisenTSModel(ModelConfig(n_experts=4, backbone=BackboneConfig(
         "decomp-linear", 16, 32, decomp_kernel=5)), seed=30)
     rng = np.random.default_rng(30)
-    x, y = rng.normal(size=(128, 8, 16)), rng.normal(size=(128, 8, 32))
-    assert 4 * 64 * 8 * 32 >= nc.SPLIT_MIN
+    x, y = rng.normal(size=(600, 8, 16)), rng.normal(size=(600, 8, 32))
+    step = pipeline.PREDICT_ROWS // 8
+    assert 4 * 64 * 8 * 32 >= nc.SPLIT_MIN and 2 * step < x.shape[0]
     stacks, real = [], nc.by_rows
 
     def spy(fn, a):
@@ -824,13 +835,52 @@ def test_threaded_evaluate_of_a_large_expert_stack_finishes(monkeypatch):
     result = []
     with mock.patch.dict(os.environ, {"DISENTS_THREADS": "2"}):
         runner = threading.Thread(target=lambda: result.extend(
-            evaluate(model, x, y, batch_size=b) for b in (128, 64)), daemon=True)
+            evaluate(model, x[:n], y[:n]) for n in (step, x.shape[0])), daemon=True)
         runner.start()
         runner.join(timeout=60)
     assert not runner.is_alive(), "evaluate did not finish within 60 s"
     assert max(stacks) >= nc.SPLIT_MIN
     with mock.patch.dict(os.environ, {"DISENTS_THREADS": "1"}):
-        assert result == [evaluate(model, x, y, batch_size=b) for b in (128, 64)]
+        assert result == [evaluate(model, x[:n], y[:n]) for n in (step, x.shape[0])]
+
+
+def _peak_mib(fn) -> float:
+    """The tracemalloc peak of one call of `fn`, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_of_a_predict_chunk_is_pinned(monkeypatch):
+    """One full chunk of 64 windows x 32 channels at `linear` 48 -> 24 and
+    K=4 peaked at 15.78 MiB on NumPy 2.4; the bound adds 0.7 MiB of slack.
+    Its largest array is the 4 MiB [2048, 256] gate FFN hidden layer. A
+    change that cuts the peak moves the bound down."""
+    monkeypatch.setenv("DISENTS_THREADS", "1")
+    model = DisenTSModel(ModelConfig(n_experts=4, backbone=BackboneConfig("linear", 48, 24)),
+                         seed=36)
+    x = np.random.default_rng(36).normal(size=(64, 32, 48))
+    assert len(pipeline._chunks(x)) == 1
+    model.predict(x[:1])  # embeds the signatures
+    assert _peak_mib(lambda: model.predict(x)) <= 16.5
+
+
+def test_peak_memory_of_a_train_step_is_pinned(monkeypatch):
+    """A K=4 step at criterion 8's shape (`linear` 48 -> 24, 16 channels,
+    batch 32) peaked at 9.75 MiB on NumPy 2.4 from the second step on; the
+    bound adds 0.5 MiB of slack. A change that cuts the peak moves the bound
+    down."""
+    monkeypatch.setenv("DISENTS_THREADS", "1")
+    model = DisenTSModel(ModelConfig(n_experts=4, backbone=BackboneConfig("linear", 48, 24)),
+                         seed=37)
+    opt = AdamState.for_params([t for _, t in model.named_parameters()], lr=1e-3)
+    rng, data = train_rng(37), np.random.default_rng(37)
+    x, y = data.normal(size=(32, 16, 48)), data.normal(size=(32, 16, 24))
+    train_step(model, x, y, opt, rng)
+    assert _peak_mib(lambda: train_step(model, x, y, opt, rng)) <= 10.25
 
 
 def _chunked_batch():
@@ -865,7 +915,7 @@ def test_evaluate_of_batches_spanning_several_chunks_is_thread_invariant(monkeyp
     results = []
     for threads in ("1", "2"):
         monkeypatch.setenv("DISENTS_THREADS", threads)
-        results.append(evaluate(model, x, y, batch_size=1024))
+        results.append(evaluate(model, x, y))
     assert results[0] == results[1]
 
 
