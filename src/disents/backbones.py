@@ -4,8 +4,11 @@ Each backbone maps a lookback window of one channel to a horizon forecast
 and is applied to every channel of every series with shared weights. Three
 kinds are provided: a single linear head, a trend/seasonal decomposition
 with one linear head per component, and a one-hidden-layer MLP with GELU.
-The K experts of a model are one `Backbone` of [K, ...] parameter stacks,
-and each layer runs once for all of them.
+The K experts of a model are one `Backbone` of [K, ...] parameter stacks.
+`layers` turns them into one list of stacked (weight, bias) layers, and a
+forecast runs each layer once for all experts. The decomposition is linear,
+trend @ Wt + (x - trend) @ Ws = x @ (Ws + A @ (Wt - Ws)) with the moving
+average trend = x @ A, so it runs as one layer of folded weights.
 """
 
 from __future__ import annotations
@@ -84,42 +87,53 @@ class Backbone:
                    for _ in range(n_experts)]
         self.params: dict[str, Tensor] = {
             key: nc.parameter(np.stack([e[key] for e in experts])) for key in shapes}
-        self._trend_matrix = (moving_average_matrix(L, config.decomp_kernel)
-                              if config.kind == "decomp-linear" else None)
+        # The moving average as a read-only [K, L, L] stack, one matrix per expert.
+        self._trend_stack = (np.broadcast_to(moving_average_matrix(L, config.decomp_kernel),
+                                             (n_experts, L, L))
+                             if config.kind == "decomp-linear" else None)
 
 
-def forecast_rows(backbone: Backbone, x: Tensor) -> Tensor:
+def layers(backbone: Backbone) -> list[tuple[Tensor, Tensor]]:
+    """The backbone as stacked (weight [K, n, p], bias [K, p]) layers, with
+    GELU between consecutive layers. A decomposition is one layer of folded
+    weights, seasonal_w + A @ (trend_w - seasonal_w) and trend_b + seasonal_b,
+    taped, so gradients reach all four parameters."""
+    p = backbone.params
+    if backbone.config.kind == "linear":
+        return [(p["w"], p["b"])]
+    if backbone.config.kind == "mlp":
+        return [(p["w1"], p["b1"]), (p["w2"], p["b2"])]
+    seasonal_w = p["seasonal_w"]
+    weight = seasonal_w + nc.matmul(backbone._trend_stack, p["trend_w"] - seasonal_w)
+    return [(weight, p["trend_b"] + p["seasonal_b"])]
+
+
+def forecast_rows(backbone: Backbone, x: Tensor,
+                  stack: list[tuple[Tensor, Tensor]] | None = None) -> Tensor:
     """Forecast a stack of independent channel rows with every expert,
-    [rows, L] -> [K, rows, H]. Each layer is one stacked `linear` over a
-    read-only broadcast of the shared rows, which must be a constant."""
+    [rows, L] -> [K, rows, H]. Each of the backbone's `layers`, or of
+    `stack` when given (the same layers, derived earlier), is one stacked
+    `linear` over a read-only broadcast of the shared rows, which must be a
+    constant."""
     x = x if isinstance(x, Tensor) else nc.constant(x)
     cfg = backbone.config
     if x.ndim != 2 or x.shape[1] != cfg.lookback:
         raise ShapeError(f"expected rows of length {cfg.lookback}, got shape {x.shape}")
     if x.requires_grad:
         raise ContractError("backbone inputs are constants; no gradient flows into them")
-    p, k = backbone.params, backbone.n_experts
-
-    def layer(rows, weight: str, bias: str) -> Tensor:  # 2-D rows are shared by every expert
-        if not isinstance(rows, Tensor):
-            rows = nc.constant(np.broadcast_to(rows, (k,) + rows.shape))
-        return nc.linear(rows, p[weight], p[bias])
-
-    if cfg.kind == "linear":
-        return layer(x.data, "w", "b")
-    if cfg.kind == "decomp-linear":
-        trend = x.data @ backbone._trend_matrix
-        return layer(trend, "trend_w", "trend_b") + layer(x.data - trend, "seasonal_w",
-                                                          "seasonal_b")
-    return layer(nc.gelu(layer(x.data, "w1", "b1")), "w2", "b2")
+    out = nc.constant(np.broadcast_to(x.data, (backbone.n_experts,) + x.shape))
+    for i, (weight, bias) in enumerate(layers(backbone) if stack is None else stack):
+        out = nc.linear(nc.gelu(out) if i else out, weight, bias)
+    return out
 
 
-def forecast_batch(backbone: Backbone, x: Tensor) -> Tensor:
+def forecast_batch(backbone: Backbone, x: Tensor,
+                   stack: list[tuple[Tensor, Tensor]] | None = None) -> Tensor:
     """Forecast a batch of multivariate windows with every expert,
-    [B, C, L] -> [K, B, C, H]."""
+    [B, C, L] -> [K, B, C, H]; `stack` as for `forecast_rows`."""
     x = x if isinstance(x, Tensor) else nc.constant(x)
     if x.ndim != 3:
         raise ShapeError(f"expected a [batch, channels, lookback] tensor, got shape {x.shape}")
     b, c, lookback = x.shape
-    out = forecast_rows(backbone, nc.reshape(x, (b * c, lookback)))
+    out = forecast_rows(backbone, nc.reshape(x, (b * c, lookback)), stack)
     return nc.reshape(out, (backbone.n_experts, b, c, backbone.config.horizon))

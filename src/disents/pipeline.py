@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gating
 from . import numcore as nc
-from .backbones import Backbone, BackboneConfig, forecast_batch
+from .backbones import Backbone, BackboneConfig, forecast_batch, layers
 from .datakit import WindowedData
 from .decode import require_integers
 from .errors import ConfigError, ContractError, NumericError, ShapeError
@@ -129,9 +129,9 @@ class DisenTSModel:
                                     config.lwa.alpha, rng)
         self.stationarizer = Stationarizer(config.eps_norm)
         self.step_count = 0
-        # Bumped by every write to the parameters; keys the signature embedding.
+        # Bumped by every write to the parameters; keys the eval cache.
         self._version = 0
-        self._embedding: tuple[int, np.ndarray, Tensor] | None = None
+        self._eval: tuple[int, np.ndarray, Tensor | None, list] | None = None
 
     @property
     def n_experts(self) -> int:
@@ -159,9 +159,10 @@ class DisenTSModel:
         """Every array the model holds, by name: `expert{m}.<key>` views into
         the stacks, the gate's parameters, then each registry signature. The
         values are the live arrays, for reading: write through `load_arrays`.
-        Evaluation reuses one signature embedding until `train_step`,
-        `set_parameter` or `load_arrays` bumps the state version or the
-        registry's values change: a hand write into a gate parameter leaves it stale."""
+        Evaluation reuses one signature embedding and one set of backbone
+        `layers` (`_eval_cache`) until `train_step`, `set_parameter` or
+        `load_arrays` bumps the state version or the registry's values
+        change: a hand write into a gate or an expert parameter leaves them stale."""
         out = {f"expert{m}.{key}": t.data[m] for m in range(self.n_experts)
                for key, t in self.backbone.params.items()}
         out.update((f"gate.{key}", t.data) for key, t in self._scopes().get("gate", {}).items())
@@ -181,19 +182,24 @@ class DisenTSModel:
         for name, target in targets.items():
             target[...] = saved[name]
 
-    def _signature_embedding(self) -> Tensor:
-        """`gating.embed_forecasters` of the registry, reused while neither
+    def _eval_cache(self) -> tuple[Tensor | None, list[tuple[Tensor, Tensor]]]:
+        """What evaluation derives from the weights: `gating.embed_forecasters`
+        of the registry (None without a gate) and the backbone's `layers`,
+        with a decomposition's weights folded. Both are reused while neither
         the state version nor the registry's values change. One tuple holds
         the cache, so concurrent evaluation threads at worst compute it twice."""
         version, gamma = self._version, self.registry.gamma
-        cached = self._embedding
+        cached = self._eval
         if cached is not None and cached[0] == version and np.array_equal(cached[1], gamma):
-            return cached[2]
+            return cached[2], cached[3]
         gamma = gamma.copy()
-        embedded = gating.embed_forecasters(gamma, self.gate)
-        embedded.data.setflags(write=False)
-        self._embedding = (version, gamma, embedded)
-        return embedded
+        embedded = None if self.gate is None else gating.embed_forecasters(gamma, self.gate)
+        stack = layers(self.backbone)
+        for t in [embedded, *(tensor for layer in stack for tensor in layer)]:
+            if t is not None and not t.requires_grad:  # derived here, not a live parameter
+                t.data.setflags(write=False)
+        self._eval = (version, gamma, embedded, stack)
+        return embedded, stack
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Evaluation-mode forecasts, [B, C, L] -> [B, C, H].
@@ -238,18 +244,18 @@ def forward(model: DisenTSModel, x: np.ndarray, training: bool = False,
             rng: np.random.Generator | None = None) -> ForwardResult:
     """One full forecast pass; expert outputs stay on the stationarized scale.
 
-    In evaluation mode with no tape recording, the gate reads the model's
-    cached signature embedding; otherwise it embeds the signatures afresh,
-    so gradients reach the embedding MLP."""
+    In evaluation mode with no tape recording, the gate and the experts read
+    the model's `_eval_cache`; otherwise the signatures are embedded and the
+    backbone's layers derived afresh, so gradients reach every parameter."""
     xn, mu, sigma = model.stationarizer.normalize(x)
     x_norm = nc.constant(xn)
+    fresh = training or nc._active_record() is not None
+    embedded, stack = (None, None) if fresh else model._eval_cache()
     if model.gate is None:
         beta = nc.constant(np.ones(xn.shape[:2] + (1,)))
     else:
-        fresh = training or nc._active_record() is not None
-        embedded = None if fresh else model._signature_embedding()
         beta = route(x_norm, model.registry.gamma, model.gate, training, rng, embedded)
-    outputs = forecast_batch(model.backbone, x_norm)  # [K, B, C, H]
+    outputs = forecast_batch(model.backbone, x_norm, stack)  # [K, B, C, H]
     b, c, k = beta.shape
     weights = nc.reshape(nc.transpose(beta, (2, 0, 1)), (k, b, c, 1))
     mixed = nc.sum(weights * outputs, axis=0)

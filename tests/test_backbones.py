@@ -162,3 +162,24 @@ def test_gradients_reach_all_params(kind):
                 bb.params[_name] = param
 
         assert grad_check(f, Tensor(param.data)) <= 1e-4, f"{kind}.{name}"
+
+
+def test_folded_decomposition_gradients_at_three_experts():
+    """The decomposition's fold is taped: each of its four parameter stacks
+    passes a grad_check through `forecast_rows` at K=3."""
+    bb = Backbone(BackboneConfig("decomp-linear", 7, 3, decomp_kernel=5), 3,
+                  np.random.default_rng(12))
+    rng = np.random.default_rng(13)
+    for param in bb.params.values():  # biases start at zero; give every parameter a value
+        param.data[...] = rng.normal(0.0, 0.3, size=param.shape)
+    x = np.random.default_rng(14).normal(size=(5, 7))
+    weights = np.random.default_rng(15).normal(size=(3, 5, 3))
+    for name, param in bb.params.items():
+        def f(t, _name=name):
+            bb.params[_name] = t
+            try:
+                return nc.sum(nc.multiply(forecast_rows(bb, x), weights))
+            finally:
+                bb.params[_name] = param
+
+        assert grad_check(f, Tensor(param.data)) <= 1e-4, name

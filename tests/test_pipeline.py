@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 import disents.numcore as nc
-from disents import gating, pipeline
+from disents import backbones, gating, pipeline
 from disents.backbones import KINDS, Backbone, BackboneConfig, forecast_batch, moving_average_matrix
 from disents.datakit import (WindowedData, WindowSpec, default_two_group, make_windows,
                              split_standardize, synth_generate)
@@ -149,10 +149,10 @@ def _numpy_expert(kind, p, m, rows):
     """Expert m's forecasts of rows [R, L], in plain NumPy, one expert alone."""
     if kind == "linear":
         return rows @ p["w"][m] + p["b"][m]
-    if kind == "decomp-linear":
-        trend = rows @ moving_average_matrix(rows.shape[1], 5)
-        return (trend @ p["trend_w"][m] + p["trend_b"][m]) + (
-            (rows - trend) @ p["seasonal_w"][m] + p["seasonal_b"][m])
+    if kind == "decomp-linear":  # the decomposition folded into one linear map
+        trend_matrix = moving_average_matrix(rows.shape[1], 5)
+        w = p["seasonal_w"][m] + trend_matrix @ (p["trend_w"][m] - p["seasonal_w"][m])
+        return rows @ w + (p["trend_b"][m] + p["seasonal_b"][m])
     pre = rows @ p["w1"][m] + p["b1"][m]
     hidden = pre * ((erf(pre * (1.0 / math.sqrt(2.0))) + 1.0) * 0.5)
     return hidden @ p["w2"][m] + p["b2"][m]
@@ -164,9 +164,9 @@ def _taped_expert(kind, leaves, rows):
     if kind == "linear":
         return nc.matmul(x, leaves["w"]) + leaves["b"]
     if kind == "decomp-linear":
-        trend = nc.matmul(x, nc.constant(moving_average_matrix(rows.shape[1], 5)))
-        return (nc.matmul(trend, leaves["trend_w"]) + leaves["trend_b"]) + (
-            nc.matmul(x - trend, leaves["seasonal_w"]) + leaves["seasonal_b"])
+        trend_matrix = nc.constant(moving_average_matrix(rows.shape[1], 5))
+        w = leaves["seasonal_w"] + nc.matmul(trend_matrix, leaves["trend_w"] - leaves["seasonal_w"])
+        return nc.matmul(x, w) + (leaves["trend_b"] + leaves["seasonal_b"])
     hidden = nc.gelu(nc.matmul(x, leaves["w1"]) + leaves["b1"])
     return nc.matmul(hidden, leaves["w2"]) + leaves["b2"]
 
@@ -254,8 +254,51 @@ def test_train_step_tape_does_not_grow_with_k(kind, monkeypatch):
         opt = AdamState.for_params([t for _, t in model.named_parameters()], lr=1e-3)
         train_step(model, data.train_x[:8], data.train_y[:8], opt, train_rng(24))
         counts.append(len(records[-1]))
-    entries = {"linear": 63, "decomp-linear": 65, "mlp": 65}[kind]
+    entries = {"linear": 63, "decomp-linear": 67, "mlp": 65}[kind]
     assert counts == [entries] * 3, counts
+
+
+def _unfolded_forecast_batch(backbone, x, stack=None):
+    """The decomposition as its trend and seasonal heads, each taped on its own."""
+    p, k = backbone.params, backbone.n_experts
+    b, c, lookback = x.shape
+    rows = x.data.reshape(b * c, lookback)
+    trend = rows @ moving_average_matrix(lookback, backbone.config.decomp_kernel)
+
+    def head(part, weight, bias):
+        return nc.linear(nc.constant(np.broadcast_to(part, (k,) + part.shape)), p[weight], p[bias])
+
+    out = head(trend, "trend_w", "trend_b") + head(rows - trend, "seasonal_w", "seasonal_b")
+    return nc.reshape(out, (k, b, c, backbone.config.horizon))
+
+
+@pytest.mark.parametrize("kernel", [1, 5, 11])
+def test_folded_decomposition_matches_the_trend_and_seasonal_heads(kernel, monkeypatch):
+    """The one folded layer gives the forecasts of the two heads, and the
+    adjoints of all four parameters under an MSE + contrast loss, to 1e-12
+    of their largest magnitude, from a kernel of one up to the lookback."""
+    cfg = replace(small_config(3, lookback=11),
+                  backbone=BackboneConfig("decomp-linear", 11, 6, decomp_kernel=kernel))
+    rng = np.random.default_rng(40 + kernel)
+    x, y = rng.normal(size=(8, 4, 11)), rng.normal(size=(8, 4, 6))
+    values = {key: rng.normal(0.0, 0.3, size=t.shape)
+              for key, t in DisenTSModel(cfg).backbone.params.items()}
+
+    def run():
+        model = DisenTSModel(cfg, seed=40)
+        for key, t in model.backbone.params.items():
+            t.data[...] = values[key]
+        with recording():
+            fwd = forward(model, x)
+            loss = total_loss(mse_loss(fwd.y_hat, nc.constant(y)), similarity_constraint(
+                pipeline.expert_signatures(model, fwd), model.registry.gamma, cfg.loss), 0.1)
+            backward(loss)
+        return [fwd.outputs.data] + [t.grad for t in model.backbone.params.values()]
+
+    folded = run()
+    monkeypatch.setattr(pipeline, "forecast_batch", _unfolded_forecast_batch)
+    for got, want in zip(folded, run(), strict=True):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_predict_eval_mode_is_deterministic():
@@ -550,16 +593,29 @@ class _Fresh:
             return forward(self.model, x, training=False).y_hat.data
 
 
-def _count_embeddings(monkeypatch) -> list:
+def _count_calls(monkeypatch, owners, name) -> list:
     calls = []
-    original = gating.embed_forecasters
+    original = getattr(owners[0], name)
 
-    def counted(signatures, gate):
+    def counted(*args):
         calls.append(1)
-        return original(signatures, gate)
+        return original(*args)
 
-    monkeypatch.setattr(gating, "embed_forecasters", counted)
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _count_embeddings(monkeypatch) -> list:
+    return _count_calls(monkeypatch, [gating], "embed_forecasters")
+
+
+def _count_folds(monkeypatch) -> list:
+    """Every derivation of a backbone's `layers`: a decomposition's fold."""
+    return _count_calls(monkeypatch, [backbones, pipeline], "layers")
+
+
+_DECOMP = BackboneConfig("decomp-linear", 12, 6, decomp_kernel=5)
 
 
 def _trained(config, seed, steps=3):
@@ -622,14 +678,44 @@ def test_mean_routing_sums_its_chunks_on_the_pool_at_any_thread_count(monkeypatc
 
 
 def test_serving_embeds_the_signatures_once(monkeypatch):
-    model = DisenTSModel(small_config(2), seed=24)
+    """Ten B=1 predicts and a multi-chunk evaluate embed the signatures and
+    derive the backbone's layers (a decomposition's fold) once."""
     data = toy_windows(24)
-    calls = _count_embeddings(monkeypatch)
-    for i in range(10):
-        model.predict(data.test_x[i:i + 1])
-    monkeypatch.setenv("DISENTS_THREADS", "2")
-    evaluate(model, *_wide_stack(24, 6))  # six chunks
-    assert len(calls) == 1
+    calls, folds = _count_embeddings(monkeypatch), _count_folds(monkeypatch)
+    for backbone in (small_config(2).backbone, _DECOMP):
+        model = DisenTSModel(replace(small_config(2), backbone=backbone), seed=24)
+        start = len(calls), len(folds)
+        monkeypatch.setenv("DISENTS_THREADS", "1")
+        for i in range(10):
+            model.predict(data.test_x[i:i + 1])
+        monkeypatch.setenv("DISENTS_THREADS", "2")
+        evaluate(model, *_wide_stack(24, 6))  # six chunks
+        assert (len(calls) - start[0], len(folds) - start[1]) == (1, 1), backbone.kind
+
+
+def test_cached_decomp_layers_give_the_fresh_outputs(monkeypatch):
+    """A decomp-linear model serves its cached fold: predict and evaluate of
+    stacks of several chunks equal forwards that fold afresh on the tape,
+    at 1, 2 and 3 threads, and threads racing to fill a cold cache too."""
+    model, data, _, _ = _trained(replace(small_config(3), backbone=_DECOMP), seed=41)
+    fresh = _Fresh(model)
+    x, y = _wide_stack(41, 5)  # five chunks of one window
+    chunks = np.concatenate([fresh.predict(x[s]) for s in pipeline._chunks(x)])
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("DISENTS_THREADS", threads)
+        assert model.predict(x).tobytes() == chunks.tobytes()
+        assert evaluate(model, x, y) == evaluate(fresh, x, y)
+    trend_w = model.backbone.params["trend_w"]
+    model.set_parameter("experts.trend_w", nc.parameter(trend_w.data + 0.01))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    monkeypatch.setenv("DISENTS_THREADS", "8")
+    try:
+        raced = evaluate(model, x, y)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setenv("DISENTS_THREADS", "1")
+    assert raced == evaluate(fresh, x, y)
 
 
 def _write_train_step(model, data, opt, rng, tmp_path):
@@ -647,7 +733,7 @@ def _write_fit_restore(model, data, opt, rng, tmp_path):
 
 def _write_load_arrays(model, data, opt, rng, tmp_path):
     saved = {name: a.copy() for name, a in model.arrays().items()}
-    saved["gate.sig_w1"] *= 1.5
+    saved["expert0.trend_w" if "expert0.trend_w" in saved else "gate.sig_w1"] *= 1.5
     model.load_arrays(saved)
     return model
 
@@ -658,7 +744,8 @@ def _write_load_model(model, data, opt, rng, tmp_path):
 
 
 def _write_set_parameter(model, data, opt, rng, tmp_path):
-    model.set_parameter("gate.sig_w2", nc.parameter(model.gate.params["sig_w2"].data * 1.5))
+    name = "experts.trend_w" if "trend_w" in model.backbone.params else "gate.sig_w2"
+    model.set_parameter(name, nc.parameter(dict(model.named_parameters())[name].data * 1.5))
     return model
 
 
@@ -678,23 +765,29 @@ def _write_registry_update(model, data, opt, rng, tmp_path):
                                    _write_registry_array, _write_registry_update],
                          ids=lambda f: f.__name__[len("_write_"):])
 def test_each_write_path_embeds_the_signatures_once_more(write, tmp_path, monkeypatch):
-    config = replace(small_config(2), lwa=LwaConfig(alpha=1.0))
-    model, data, opt, rng = _trained(config, seed=22, steps=1)
-    x = data.test_x
-    calls = _count_embeddings(monkeypatch)
-    before = model.predict(x)
-    assert np.array_equal(model.predict(x), before) and len(calls) == 1
-    target = write(model, data, opt, rng, tmp_path)
-    start = len(calls)
-    after = target.predict(x)
-    assert np.array_equal(target.predict(x), after)
-    assert len(calls) == start + 1
-    rebuilt = DisenTSModel(config, seed=0)
-    rebuilt.load_arrays({name: a.copy() for name, a in target.arrays().items()})
-    assert np.array_equal(after, rebuilt.predict(x))
-    assert np.array_equal(after, _Fresh(target).predict(x))
-    if write is not _write_load_model:
-        assert not np.array_equal(after, before)
+    """After each write, evaluation embeds the signatures and derives the
+    backbone's layers once more, for a `linear` and a `decomp-linear`
+    model, and serves the outputs of the written state."""
+    calls, folds = _count_embeddings(monkeypatch), _count_folds(monkeypatch)
+    for backbone in (small_config(2).backbone, _DECOMP):
+        config = replace(small_config(2), backbone=backbone, lwa=LwaConfig(alpha=1.0))
+        model, data, opt, rng = _trained(config, seed=22, steps=1)
+        x = data.test_x
+        start = len(calls), len(folds)
+        before = model.predict(x)
+        assert np.array_equal(model.predict(x), before)
+        assert (len(calls) - start[0], len(folds) - start[1]) == (1, 1)
+        target = write(model, data, opt, rng, tmp_path / backbone.kind)
+        start = len(calls), len(folds)
+        after = target.predict(x)
+        assert np.array_equal(target.predict(x), after)
+        assert (len(calls) - start[0], len(folds) - start[1]) == (1, 1), backbone.kind
+        rebuilt = DisenTSModel(config, seed=0)
+        rebuilt.load_arrays({name: a.copy() for name, a in target.arrays().items()})
+        assert np.array_equal(after, rebuilt.predict(x))
+        assert np.array_equal(after, _Fresh(target).predict(x))
+        if write is not _write_load_model:
+            assert not np.array_equal(after, before)
 
 
 def test_load_arrays_takes_every_array_at_its_shape():
@@ -866,6 +959,21 @@ def test_peak_memory_of_a_predict_chunk_is_pinned(monkeypatch):
     assert len(pipeline._chunks(x)) == 1
     model.predict(x[:1])  # embeds the signatures
     assert _peak_mib(lambda: model.predict(x)) <= 16.5
+
+
+def test_peak_memory_of_a_decomp_predict_chunk_is_pinned(monkeypatch):
+    """The same chunk at `decomp-linear` 96 -> 96 and K=4 peaked at 16.53 MiB
+    on NumPy 2.4, with the decomposition folded into one cached layer (it
+    read 21.10 MiB with the trend and seasonal heads run one by one); the
+    bound adds 0.7 MiB of slack. A change that cuts the peak moves the
+    bound down."""
+    monkeypatch.setenv("DISENTS_THREADS", "1")
+    model = DisenTSModel(ModelConfig(n_experts=4, backbone=BackboneConfig(
+        "decomp-linear", 96, 96)), seed=36)
+    x = np.random.default_rng(36).normal(size=(64, 32, 96))
+    assert len(pipeline._chunks(x)) == 1
+    model.predict(x[:1])  # embeds the signatures and folds the layers
+    assert _peak_mib(lambda: model.predict(x)) <= 17.25
 
 
 def test_peak_memory_of_a_train_step_is_pinned(monkeypatch):
