@@ -2,13 +2,21 @@
 
 Arrays are raw little-endian float64 (`ndarray.tofile`), so a load followed
 by a save is bit-exact. The manifest records every array's name, shape,
-dtype, and file, together with the model configuration and step counter
-needed to rebuild the model. `Manifest` is its one schema, for save and
-load; `load_model` reads the whole file through `decode`.
+dtype, file and the hex SHA-256 of its bytes, together with the model
+configuration and step counter needed to rebuild the model. `Manifest` is
+its one schema, for save and load; `load_model` reads the whole file
+through `decode`.
+
+Format 2 stores each array of `DisenTSModel.arrays()` whole: each parameter
+stack under its `named_parameters()` name and the registry as one
+`registry.gamma`. Format 1 named one array per expert and had no digests;
+`load_model` still reads it, mapping each per-expert array to its row of a
+stack (`_slots`), and then checks and loads both formats alike.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -23,15 +31,20 @@ from .errors import ConfigError, ParseError
 from .pipeline import DisenTSModel, ModelConfig
 
 MANIFEST = "manifest.json"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
-class ArrayEntry:
+class ArrayEntryV1:
     name: str
     shape: list[Count]
     dtype: str
     file: str
+
+
+@dataclass(frozen=True)
+class ArrayEntry(ArrayEntryV1):
+    sha256: str
 
 
 @dataclass(frozen=True)
@@ -43,10 +56,18 @@ class Meta:
 
 
 @dataclass(frozen=True)
-class Manifest:
+class ManifestV1:
     format: int
-    arrays: list[ArrayEntry]
+    arrays: list[ArrayEntryV1]
     meta: Meta
+
+
+@dataclass(frozen=True)
+class Manifest(ManifestV1):
+    arrays: list[ArrayEntry]
+
+
+SCHEMAS = {1: ManifestV1, FORMAT_VERSION: Manifest}
 
 
 def save_model(model: DisenTSModel, directory: str | Path) -> Path:
@@ -62,9 +83,11 @@ def save_model(model: DisenTSModel, directory: str | Path) -> Path:
                  if name not in taken)
     entries = []
     for (name, data), filename in zip(model.arrays().items(), filenames):
+        data = np.ascontiguousarray(data, dtype="<f8")
         with open(directory / filename, "wb") as fh:
-            np.ascontiguousarray(data, dtype="<f8").tofile(fh)
-        entries.append(ArrayEntry(name, list(data.shape), "float64", filename))
+            data.tofile(fh)
+        entries.append(ArrayEntry(name, list(data.shape), "float64", filename,
+                                  hashlib.sha256(data).hexdigest()))
     meta = Meta(model.step_count, model.seed, list(model.registry.initialized), model.config)
     staged = directory / f"{MANIFEST}.tmp"
     with open(staged, "w") as fh:
@@ -77,9 +100,26 @@ def save_model(model: DisenTSModel, directory: str | Path) -> Path:
     return directory
 
 
+def _slots(model: DisenTSModel, version: int) -> dict[str, tuple[str, int | None]]:
+    """Each array name a manifest of `version` lists, with the `arrays()`
+    name it loads into and the row of that array, None for all of it.
+    Format 1 named one array per expert: `expert{m}.<key>` is row m of
+    `experts.<key>`, and `registry.gamma{m}` row m of `registry.gamma`."""
+    names = list(model.arrays())
+    if version == FORMAT_VERSION:
+        return {name: (name, None) for name in names}
+    experts = range(model.n_experts)
+    slots = {f"expert{m}.{name.partition('.')[2]}": (name, m)
+             for m in experts for name in names if name.startswith("experts.")}
+    slots.update((name, (name, None)) for name in names if name.startswith("gate."))
+    slots.update((f"registry.gamma{m}", ("registry.gamma", m)) for m in experts)
+    return slots
+
+
 def load_model(directory: str | Path) -> DisenTSModel:
-    """Rebuild a saved model. Every array the model holds must be in the
-    manifest exactly once, with its saved shape; anything else is rejected."""
+    """Rebuild a saved model. Every array the manifest's format names must
+    be listed exactly once, with its saved shape and, from format 2 on, the
+    SHA-256 of its file; anything else is rejected."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST
     if not manifest_path.is_file():
@@ -92,21 +132,21 @@ def load_model(directory: str | Path) -> DisenTSModel:
         raise ConfigError(f"checkpoint manifest {manifest_path} must hold a JSON object")
     # the version picks the schema, so it is read before the rest is decoded
     require_integers(**{"checkpoint manifest field format": raw.get("format")})
-    if raw["format"] != FORMAT_VERSION:
+    if raw["format"] not in SCHEMAS:
         raise ConfigError(f"unsupported checkpoint format {raw['format']!r}")
-    manifest = decode(Manifest, raw, "checkpoint manifest field ")
+    manifest = decode(SCHEMAS[raw["format"]], raw, "checkpoint manifest field ")
     model = DisenTSModel(manifest.meta.config, seed=manifest.meta.seed)
     model.step_count = manifest.meta.step_count
     if len(manifest.meta.registry_initialized) != model.n_experts:
         raise ConfigError(f"checkpoint manifest field meta.registry_initialized must hold "
                           f"{model.n_experts} booleans")
     model.registry.initialized = manifest.meta.registry_initialized
-    targets = model.arrays()
+    targets, slots = model.arrays(), _slots(model, manifest.format)
     names = [entry.name for entry in manifest.arrays]
     for name in names:
-        if name not in targets:
+        if name not in slots:
             raise ConfigError(f"checkpoint array {name!r} does not exist in the model")
-    missing = [name for name in targets if name not in names]
+    missing = [name for name in slots if name not in names]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if missing or repeated:
         raise ConfigError(f"checkpoint arrays missing: {', '.join(missing) or 'none'}; "
@@ -114,6 +154,8 @@ def load_model(directory: str | Path) -> DisenTSModel:
     loaded = {}
     for i, entry in enumerate(manifest.arrays):
         name, shape, filename = entry.name, tuple(entry.shape), entry.file
+        array, row = slots[name]
+        expected = targets[array].shape if row is None else targets[array].shape[1:]
         if entry.dtype != "float64":
             raise ConfigError(f"array {name!r} has unsupported dtype {entry.dtype!r}")
         if filename in ("", ".", "..") or any(c in filename for c in "/\\\0"):
@@ -126,9 +168,16 @@ def load_model(directory: str | Path) -> DisenTSModel:
             raise ConfigError(f"array {name!r} cannot be read from {filename!r}: {exc}") from exc
         if nbytes != 8 * math.prod(shape):  # fromfile drops a partial last value
             raise ConfigError(f"array {name!r} holds {nbytes} bytes, expected shape {shape}")
-        if targets[name].shape != shape:
+        if expected != shape:
             raise ConfigError(f"shape mismatch for {name!r}: checkpoint {shape}, "
-                              f"model {targets[name].shape}")
-        loaded[name] = data.reshape(shape)
+                              f"model {expected}")
+        if isinstance(entry, ArrayEntry) and hashlib.sha256(data).hexdigest() != entry.sha256:
+            raise ConfigError(f"array {name!r} in {filename!r} does not match its sha256 "
+                              f"in the manifest")
+        data = data.reshape(shape)
+        if row is None:
+            loaded[array] = data
+        else:
+            loaded.setdefault(array, np.empty(targets[array].shape))[row] = data
     model.load_arrays(loaded)
     return model

@@ -156,17 +156,16 @@ class DisenTSModel:
         params[key] = tensor
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Every array the model holds, by name: `expert{m}.<key>` views into
-        the stacks, the gate's parameters, then each registry signature. The
-        values are the live arrays, for reading: write through `load_arrays`.
-        Evaluation reuses one signature embedding and one set of backbone
-        `layers` (`_eval_cache`) until `train_step`, `set_parameter` or
-        `load_arrays` bumps the state version or the registry's values
-        change: a hand write into a gate or an expert parameter leaves them stale."""
-        out = {f"expert{m}.{key}": t.data[m] for m in range(self.n_experts)
-               for key, t in self.backbone.params.items()}
-        out.update((f"gate.{key}", t.data) for key, t in self._scopes().get("gate", {}).items())
-        out.update((f"registry.gamma{m}", g) for m, g in enumerate(self.registry.gamma))
+        """Every array the model holds, by name: the live parameter stacks
+        under their `named_parameters()` names, then the registry's
+        `[K, L, H]` signatures as `registry.gamma`. The values are for
+        reading: write through `load_arrays`. Evaluation reuses one signature
+        embedding and one set of backbone `layers` (`_eval_cache`) until
+        `train_step`, `set_parameter` or `load_arrays` bumps the state
+        version or the registry's values change: a hand write into a gate or
+        an expert parameter leaves them stale."""
+        out = {name: t.data for name, t in self.named_parameters()}
+        out["registry.gamma"] = self.registry.gamma
         return out
 
     def load_arrays(self, saved: dict[str, np.ndarray]) -> None:

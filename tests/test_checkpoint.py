@@ -1,9 +1,11 @@
 """Binary checkpoint round trips and manifest validation."""
 
 import copy
+import hashlib
 import itertools
 import json
 import os
+import shutil
 from dataclasses import asdict
 from pathlib import Path
 
@@ -48,6 +50,15 @@ def same_model(ours, theirs):
     return all(a.tobytes() == arrays[name].tobytes() for name, a in ours.arrays().items())
 
 
+FORMAT1 = Path(__file__).parent / "fixtures" / "format1"
+
+
+def _synth_csv(directory):
+    assert main(["synth", "--out", str(directory), "--length", "200",
+                 "--channels-per-group", "1", "--seed", "0"]) == 0
+    return directory / "synthetic.csv"
+
+
 def test_round_trip_is_bit_exact(tmp_path):
     model = trained_model()
     save_model(model, tmp_path / "ckpt")
@@ -64,25 +75,28 @@ def test_round_trip_is_bit_exact(tmp_path):
 
 
 def test_manifest_lists_every_expert_array_by_name_and_order(tmp_path):
-    """The experts run as one stack, but a checkpoint still holds one array
-    per expert and parameter, named and ordered as below, in its own shape."""
+    """A checkpoint holds each expert stack whole, one array per parameter
+    with the experts on its first axis, named and ordered as below, with
+    its SHA-256."""
     model = trained_model(n_experts=3)
     save_model(model, tmp_path)
     entries = json.loads((tmp_path / MANIFEST).read_text())["arrays"]
     per_expert = ["trend_w", "trend_b", "seasonal_w", "seasonal_b"]
     assert [e["name"] for e in entries] == [
-        "expert0.trend_w", "expert0.trend_b", "expert0.seasonal_w", "expert0.seasonal_b",
-        "expert1.trend_w", "expert1.trend_b", "expert1.seasonal_w", "expert1.seasonal_b",
-        "expert2.trend_w", "expert2.trend_b", "expert2.seasonal_w", "expert2.seasonal_b",
+        "experts.trend_w", "experts.trend_b", "experts.seasonal_w", "experts.seasonal_b",
         "gate.w_in", "gate.sig_w1", "gate.sig_b1", "gate.sig_w2", "gate.sig_b2",
         "gate.attn_wq", "gate.attn_wk", "gate.attn_wv", "gate.attn_wo",
         "gate.ffn_w1", "gate.ffn_b1", "gate.ffn_w2", "gate.ffn_b2",
         "gate.ln1_gain", "gate.ln1_bias", "gate.ln2_gain", "gate.ln2_bias", "gate.w_out",
-        "registry.gamma0", "registry.gamma1", "registry.gamma2",
+        "registry.gamma",
     ]
     shapes = {e["name"]: e["shape"] for e in entries}
-    for m in range(3):
-        assert [shapes[f"expert{m}.{key}"] for key in per_expert] == [[12, 6], [6], [12, 6], [6]]
+    assert [shapes[f"experts.{key}"] for key in per_expert] == [[3, 12, 6], [3, 6],
+                                                                [3, 12, 6], [3, 6]]
+    assert shapes["registry.gamma"] == [3, 12, 6]
+    for e in entries:
+        digest = hashlib.sha256((tmp_path / e["file"]).read_bytes()).hexdigest()
+        assert e["sha256"] == digest, e["name"]
     loaded = load_model(tmp_path)
     theirs = loaded.arrays()
     for name, ours in model.arrays().items():
@@ -155,7 +169,7 @@ def test_single_expert_round_trip_has_no_gate(tmp_path):
     save_model(model, tmp_path)
     names = [e["name"] for e in json.loads((tmp_path / MANIFEST).read_text())["arrays"]]
     assert not any(n.startswith("gate.") for n in names)
-    assert names[-1] == "registry.gamma0"
+    assert names[-1] == "registry.gamma"
     x = np.random.default_rng(2).normal(size=(4, 3, 12))
     assert np.array_equal(load_model(tmp_path).predict(x), model.predict(x))
 
@@ -168,17 +182,19 @@ def _rewrite_arrays(directory, edit):
 
 def test_incomplete_or_repeated_arrays_are_rejected(tmp_path):
     save_model(trained_model(), tmp_path)
-    expert0 = [e["name"] for e in json.loads((tmp_path / MANIFEST).read_text())["arrays"]
-               if e["name"].startswith("expert0.")]
+    experts = [e["name"] for e in json.loads((tmp_path / MANIFEST).read_text())["arrays"]
+               if e["name"].startswith("experts.")]
+    assert experts == ["experts.trend_w", "experts.trend_b",
+                       "experts.seasonal_w", "experts.seasonal_b"]
     _rewrite_arrays(tmp_path, lambda arrays: [e for e in arrays
-                                              if not e["name"].startswith("expert0.")])
+                                              if not e["name"].startswith("experts.")])
     with pytest.raises(ConfigError, match="missing") as err:
         load_model(tmp_path)
-    assert all(name in str(err.value) for name in expert0)
+    assert all(name in str(err.value) for name in experts)
 
     save_model(trained_model(), tmp_path)
     _rewrite_arrays(tmp_path, lambda arrays: arrays + [arrays[-1]])
-    with pytest.raises(ConfigError, match="more than once.*registry.gamma1"):
+    with pytest.raises(ConfigError, match="more than once: registry.gamma$"):
         load_model(tmp_path)
 
 
@@ -190,7 +206,7 @@ def _truncate_manifest(directory):
 def _rename_gamma(new_name):
     def edit(directory):
         _rewrite_arrays(directory, lambda arrays: [
-            dict(e, name=new_name) if e["name"] == "registry.gamma1" else e for e in arrays])
+            dict(e, name=new_name) if e["name"] == "registry.gamma" else e for e in arrays])
     return edit
 
 
@@ -245,7 +261,7 @@ def _set(path, value):
     (_set(["meta", "registry_initialized"], [1, 0]), "field meta.registry_initialized "),
     (_set(["arrays"], None), "field arrays "),
     (_set(["arrays"], {}), "field arrays "),
-    (_set(["arrays", 0], "expert0.trend_w"), "field arrays[0] "),
+    (_set(["arrays", 0], "experts.trend_w"), "field arrays[0] "),
     (_set(["arrays", 0, "name"], None), "field arrays[0].name "),
     (_set(["arrays", 0, "shape"], None), "field arrays[0].shape "),
     (_set(["arrays", 0, "shape"], "12,6"), "field arrays[0].shape "),
@@ -279,7 +295,11 @@ def _set(path, value):
     (_set(["bogus"], 1), "field bogus "),
     (_set(["meta", "bogus"], 1), "field meta.bogus "),
     (_set(["arrays", 0, "bogus"], 1), "field arrays[0].bogus "),
-    (_extend_array, "holds 577 bytes"),
+    (_set(["arrays", 0, "sha256"], None), "field arrays[0].sha256 "),
+    (_set(["arrays", 0, "sha256"], 0), "field arrays[0].sha256 "),
+    (_set(["arrays", 0, "sha256"], "0" * 64),
+     "array 'experts.trend_w' in 'array0000.bin' does not match its sha256"),
+    (_extend_array, "holds 1153 bytes"),
 ], ids=["truncated-manifest", "missing-array-file", "gamma-out-of-range", "gamma-not-numeric",
         "manifest-not-object", "no-meta", "meta-not-object", "no-config", "seed-not-int",
         "no-step-count", "step-count-not-int", "step-count-negative", "no-registry-flags",
@@ -290,18 +310,75 @@ def _set(path, value):
         "n-experts-bool", "heads-string", "top-k-float", "alpha-string", "tau-bool", "tau-nan",
         "eps-norm-list", "normalize-sims-string", "no-heads", "no-decomp-kernel",
         "unknown-gate-key", "format-bool", "format-float", "unknown-envelope-key",
-        "unknown-meta-key", "unknown-entry-key", "array-file-extended"])
+        "unknown-meta-key", "unknown-entry-key", "no-digest", "digest-not-string",
+        "digest-mismatch", "array-file-extended"])
 def test_malformed_checkpoint_exits_2(tmp_path, capsys, damage, field):
-    assert main(["synth", "--out", str(tmp_path / "data"), "--length", "200",
-                 "--channels-per-group", "1", "--seed", "0"]) == 0
+    dataset = _synth_csv(tmp_path / "data")
     save_model(trained_model(), tmp_path / "ckpt")
     damage(tmp_path / "ckpt")
-    code = main(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--dataset",
-                 str(tmp_path / "data" / "synthetic.csv"), "--out", str(tmp_path / "eval"),
-                 "--split", "0.5,0.2,0.3"])
+    code = main(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--dataset", str(dataset),
+                 "--out", str(tmp_path / "eval"), "--split", "0.5,0.2,0.3"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+def test_format1_checkpoint_loads_each_expert_as_a_row_of_its_stack():
+    """`fixtures/format1` is a format-1 checkpoint (K=2, `linear` 8->4, gate
+    dim 8, two train steps) written by the code that named one array per
+    expert. Each stack loads as its per-expert files stacked in expert
+    order; the gate's arrays load as they are."""
+    manifest = json.loads((FORMAT1 / MANIFEST).read_text())
+    assert manifest["format"] == 1
+    files = {e["name"]: np.fromfile(FORMAT1 / e["file"], dtype="<f8").reshape(e["shape"])
+             for e in manifest["arrays"]}
+    expected = {name: a for name, a in files.items() if name.startswith("gate.")}
+    for stack, row in [("experts.w", "expert{}.w"), ("experts.b", "expert{}.b"),
+                       ("registry.gamma", "registry.gamma{}")]:
+        expected[stack] = np.stack([files[row.format(m)] for m in range(2)])
+    model = load_model(FORMAT1)
+    assert (model.n_experts, model.step_count, model.registry.initialized) == (2, 2, [True, True])
+    arrays = model.arrays()
+    assert sorted(arrays) == sorted(expected)
+    for name, a in arrays.items():
+        assert a.tobytes() == expected[name].tobytes(), name
+
+
+def test_format1_checkpoint_evaluates(tmp_path):
+    code = main(["eval", "--checkpoint", str(FORMAT1), "--dataset", str(_synth_csv(tmp_path)),
+                 "--out", str(tmp_path / "eval"), "--split", "0.5,0.2,0.3"])
+    assert code == 0
+    assert (tmp_path / "eval" / "metrics.json").is_file()
+
+
+def test_resaving_a_format1_checkpoint_writes_format2(tmp_path):
+    shutil.copytree(FORMAT1, tmp_path / "ckpt")
+    model = load_model(tmp_path / "ckpt")
+    save_model(model, tmp_path / "ckpt")
+    manifest = json.loads((tmp_path / "ckpt" / MANIFEST).read_text())
+    assert manifest["format"] == 2
+    listed = [e["file"] for e in manifest["arrays"]]
+    assert len(listed) == len(model.named_parameters()) + 1
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == sorted(listed + [MANIFEST])
+    assert same_model(load_model(tmp_path / "ckpt"), model)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda arrays: [e for e in arrays if not e["name"].startswith("expert0.")],
+     "missing: expert0.w, expert0.b;"),
+    (lambda arrays: arrays + [next(e for e in arrays if e["name"] == "registry.gamma1")],
+     "more than once: registry.gamma1"),
+    (lambda arrays: [dict(arrays[0], name="expert9.w"), *arrays[1:]], "'expert9.w'"),
+], ids=["no-expert0", "gamma1-twice", "expert9"])
+def test_malformed_format1_checkpoint_exits_2(tmp_path, capsys, edit, named):
+    shutil.copytree(FORMAT1, tmp_path / "ckpt")
+    _rewrite_arrays(tmp_path / "ckpt", edit)
+    code = main(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--dataset",
+                 str(_synth_csv(tmp_path / "data")), "--out", str(tmp_path / "eval"),
+                 "--split", "0.5,0.2,0.3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_saving_a_smaller_model_removes_stale_arrays(tmp_path):
@@ -394,24 +471,44 @@ def test_tampered_config_loads_exactly_or_is_rejected(saved, data):
     assert json.dumps(asdict(loaded), sort_keys=True) == json.dumps(config, sort_keys=True)
 
 
+def _swappable(directory, manifest):
+    """The pairs of array entries of one shape whose files differ, such as
+    the gate's four [d, d] attention matrices."""
+    entries = manifest["arrays"]
+    return [(i, j) for i, j in itertools.combinations(range(len(entries)), 2)
+            if entries[i]["shape"] == entries[j]["shape"]
+            and (directory / entries[i]["file"]).read_bytes()
+            != (directory / entries[j]["file"]).read_bytes()]
+
+
 @settings(max_examples=200)
 @given(data=st.data())
 def test_tampered_manifest_loads_exactly_or_is_rejected(saved, saved_model, data):
     """Deleting, retyping or renaming a key of the envelope, of meta or of
     one array entry, or adding an unknown key to one, either raises
-    ConfigError or loads exactly the saved model.
-
-    Two edits are left out, since both load a different model without
-    complaint and only a digest of each array could catch them: swapping
-    two array files of the same shape, and swapping the `file` fields of
-    two entries of the same shape."""
+    ConfigError or loads exactly the saved model. So does swapping two
+    array files of the same shape, or the `file` fields of two entries of
+    the same shape: the SHA-256 of each array rejects both."""
     directory, manifest = saved
     manifest = copy.deepcopy(manifest)
     entry = data.draw(st.sampled_from(manifest["arrays"]))
     record = data.draw(st.sampled_from([manifest, manifest["meta"], entry]))
-    action = data.draw(st.sampled_from(["delete", "retype", "rename", "add"]))
+    action = data.draw(st.sampled_from(["delete", "retype", "rename", "add",
+                                        "swap files", "swap file fields"]))
     new_key = data.draw(st.text(max_size=8).filter(lambda k: k not in record))
-    if action == "add":
+    originals = {}
+    if action.startswith("swap"):
+        i, j = data.draw(st.sampled_from(_swappable(directory, manifest)))
+        first, second = manifest["arrays"][i], manifest["arrays"][j]
+        if action == "swap file fields":
+            first["file"], second["file"] = second["file"], first["file"]
+        else:
+            originals = {directory / e["file"]: (directory / e["file"]).read_bytes()
+                         for e in (first, second)}
+            (a, a_bytes), (b, b_bytes) = originals.items()
+            a.write_bytes(b_bytes)
+            b.write_bytes(a_bytes)
+    elif action == "add":
         record[new_key] = data.draw(JSON_VALUES)
     else:
         key = data.draw(st.sampled_from(sorted(record)))
@@ -426,6 +523,9 @@ def test_tampered_manifest_loads_exactly_or_is_rejected(saved, saved_model, data
         loaded = load_model(directory)
     except ConfigError:
         return
+    finally:
+        for path, content in originals.items():
+            path.write_bytes(content)
     assert action == "retype"
     assert same_model(loaded, saved_model)
 

@@ -168,7 +168,7 @@ def test_registry_blends_initialized_experts_and_copies_the_rest():
     gamma, prev = reg.gamma, reg.gamma.copy()
     w = np.random.default_rng(7).normal(size=(2, 4, 3))
     reg.update(w)
-    assert reg.gamma is gamma  # written in place: a model's arrays() are views of it
+    assert reg.gamma is gamma  # written in place: a model's arrays() hold it as registry.gamma
     assert np.array_equal(reg.gamma[0], 0.9 * prev[0] + (1.0 - 0.9) * w[0])
     assert np.array_equal(reg.gamma[1], w[1])
     assert reg.initialized == [True, True]
