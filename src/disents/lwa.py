@@ -8,7 +8,9 @@ the constraint losses built on W reach the expert only through its
 forecasts. An exponential moving average of W per expert forms the
 signature registry the gate conditions on.
 Selection and regression also run on the [K, ...] stack of all experts at
-once, through one gather and one stacked SVD.
+once, through one gather and one stacked pseudo-inverse. That pseudo-inverse
+and the [K] products of `signature_error` are spread over numcore's thread
+pool matrix by matrix, with the same bits at any thread count.
 """
 
 from __future__ import annotations
@@ -121,8 +123,11 @@ def approximate(x_hat: Tensor, f_hat: Tensor, rcond: float = 1e-6) -> Tensor:
 
 def signature_error(x: np.ndarray, outputs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Mean squared gap between expert forecasts [..., R, H] and their linear
-    image x @ W of the rows x [R, L], one value per signature W [..., L, H]."""
+    image x @ W of the rows x [R, L], one value per signature W [..., L, H].
+    A stack of signatures maps a read-only broadcast of the rows matrix by
+    matrix, spread over the pool (`numcore._matmul_into`)."""
     x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
     outputs = np.asarray(outputs, dtype=np.float64)
-    diff = outputs - x @ np.asarray(w, dtype=np.float64)
+    diff = outputs - nc._matmul_into(np.broadcast_to(x, w.shape[:-2] + x.shape), w)
     return np.mean(diff * diff, axis=(-2, -1))

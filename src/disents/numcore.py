@@ -21,10 +21,11 @@ tasks over it, as `pipeline` does with the row chunks of an eval stack
 in `predict`, `evaluate` and `mean_routing`. `by_rows` splits a kernel
 over the leading axis of an array of at least SPLIT_MIN elements, one
 contiguous chunk per thread. `gelu` runs both directions that
-way, in place in preallocated buffers, and so does a stacked `linear`, over
-its K matrices. Every element sees the same operations in the same order
-however the rows are split (a matrix of a stack is one BLAS call either
-way), and the tasks given to `pool_map` are cut by their callers without
+way, in place in preallocated buffers; a stacked `linear` and `pinv` run
+over their K matrices that way, and `adam_step` over the rows of each large
+parameter. Every element sees the same operations in the same order
+however the rows are split (a matrix of a stack is one BLAS or LAPACK call
+either way), and the tasks given to `pool_map` are cut by their callers without
 reading the thread count, so results do not depend on it. Smaller arrays run
 on the calling thread without reading the environment, and a pool worker
 runs everything inline, so no worker ever waits on the pool.
@@ -740,7 +741,10 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-4) -> flo
 def pinv(x, rcond: float = 1e-6) -> Tensor:
     """Moore-Penrose pseudo-inverse via SVD, singular values below
     rcond * sigma_max treated as zero. A [..., m, n] stack gives the
-    [..., n, m] stack of its matrices' pseudo-inverses, from one SVD call.
+    [..., n, m] stack of its matrices' pseudo-inverses. The SVD, the cut and
+    the product run matrix by matrix over `by_rows` of the leading axis, so a
+    large stack is spread over the pool; each matrix gets the bits of its own
+    pinv at any thread count.
 
     Deliberately a gradient barrier: the result is a constant with respect
     to differentiation and never joins the tape.
@@ -750,10 +754,20 @@ def pinv(x, rcond: float = 1e-6) -> Tensor:
         raise ShapeError(f"pinv expects a matrix or a stack of them, got shape {t.shape}")
     if not np.isfinite(t.data).all():
         raise NumericError("pinv input contains non-finite entries")
-    u, s, vt = np.linalg.svd(t.data, full_matrices=False)
-    keep = s > rcond * s[..., :1]
-    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return Tensor((np.swapaxes(vt, -1, -2) * inv[..., np.newaxis, :]) @ np.swapaxes(u, -1, -2))
+    out = np.empty(t.shape[:-2] + t.shape[:-3:-1])
+
+    def matrices(i):
+        u, s, vt = np.linalg.svd(t.data[i], full_matrices=False)
+        keep = s > rcond * s[..., :1]
+        inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+        np.matmul(np.swapaxes(vt, -1, -2) * inv[..., np.newaxis, :], np.swapaxes(u, -1, -2),
+                  out=out[i])
+
+    if t.ndim == 2:
+        matrices(...)
+    else:
+        by_rows(matrices, t.data)
+    return Tensor(out)
 
 
 ADAM_BLOCK = 16384  # elements per Adam update block; two block-sized buffers stay in cache
@@ -762,18 +776,23 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def _scratch_pair() -> tuple[Array, Array]:
+    return np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+
+
 @dataclass
 class AdamState:
     """First/second moment buffers for one fixed, ordered parameter list,
-    and the two block-sized scratch buffers `adam_step` computes in."""
+    and the pairs of block-sized scratch buffers `adam_step` computes in:
+    each row piece running at once takes a pair of its own from `scratch`
+    and puts it back when done, so the list grows to one pair per thread."""
 
     lr: float = 1e-3
     step_count: int = 0
     m: list[Array] = field(default_factory=list)
     v: list[Array] = field(default_factory=list)
-    scratch: tuple[Array, Array] = field(
-        default_factory=lambda: (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)),
-        init=False, repr=False, compare=False)
+    scratch: list[tuple[Array, Array]] = field(
+        default_factory=lambda: [_scratch_pair()], init=False, repr=False, compare=False)
 
     @classmethod
     def for_params(cls, params: Sequence[Tensor], lr: float = 1e-3) -> "AdamState":
@@ -803,12 +822,15 @@ def _adam_blocks(*arrays: Array):
 def adam_step(params: Sequence[Tensor], grads: Sequence[Array | None], state: AdamState) -> None:
     """One bias-corrected Adam update, in place on the parameter data.
 
-    Each parameter is updated in blocks of at most ADAM_BLOCK elements (see
-    _adam_blocks). A row slice is a view whatever the memory layout, so
-    every block writes into the parameter's own array. Each block
-    runs the elementwise ops of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    A parameter of at least SPLIT_MIN elements is cut into row pieces over
+    the pool (`by_rows`), and each piece is updated in blocks of at most
+    ADAM_BLOCK elements (see _adam_blocks) through a scratch pair of its own.
+    A row slice is a view whatever the memory layout, so every block writes
+    into the parameter's own array. Each block runs the elementwise ops of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
     p -= lr*(m/c1) / (sqrt(v/c2) + eps) in that order, so the result equals
-    the whole-array update bit for bit without its full-size temporaries.
+    the whole-array update bit for bit, at any thread count, without its
+    full-size temporaries.
     """
     if len(params) != len(state.m) or len(params) != len(grads):
         raise ContractError(
@@ -825,16 +847,27 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[Array | None], state: Ad
             raise ShapeError(
                 f"adam_step shape mismatch: param {p.data.shape}, grad {g.shape}, moment {m.shape}"
             )
-        for pb, gb, mb, vb in _adam_blocks(p.data, g, m, v):
-            t1, t2 = (buf[:gb.size].reshape(gb.shape) for buf in state.scratch)
-            mb *= ADAM_BETA1
-            mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=t1)
-            vb *= ADAM_BETA2
-            np.multiply(gb, gb, out=t1)
-            vb += np.multiply(t1, 1.0 - ADAM_BETA2, out=t1)
-            np.divide(mb, correct1, out=t1)
-            np.multiply(t1, state.lr, out=t1)
-            np.divide(vb, correct2, out=t2)
-            np.sqrt(t2, out=t2)
-            np.add(t2, ADAM_EPS, out=t2)
-            pb -= np.divide(t1, t2, out=t1)
+
+        def piece(rows):  # by_rows returns only once every piece has ended
+            try:
+                scratch = state.scratch.pop()
+            except IndexError:  # every pair is held by a piece running beside this one
+                scratch = _scratch_pair()
+            try:
+                for pb, gb, mb, vb in _adam_blocks(p.data[rows], g[rows], m[rows], v[rows]):
+                    t1, t2 = (buf[:gb.size].reshape(gb.shape) for buf in scratch)
+                    mb *= ADAM_BETA1
+                    mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=t1)
+                    vb *= ADAM_BETA2
+                    np.multiply(gb, gb, out=t1)
+                    vb += np.multiply(t1, 1.0 - ADAM_BETA2, out=t1)
+                    np.divide(mb, correct1, out=t1)
+                    np.multiply(t1, state.lr, out=t1)
+                    np.divide(vb, correct2, out=t2)
+                    np.sqrt(t2, out=t2)
+                    np.add(t2, ADAM_EPS, out=t2)
+                    pb -= np.divide(t1, t2, out=t1)
+            finally:
+                state.scratch.append(scratch)
+
+        by_rows(piece, p.data)

@@ -218,10 +218,20 @@ def test_registry_errors():
         reg.update(np.zeros((3, 3)))  # one expert's signature, not the stack
 
 
-def test_signature_error_formula():
+def test_signature_error_formula(monkeypatch):
     rng = np.random.default_rng(17)
     x = rng.normal(size=(7, 4))
     w = rng.normal(size=(4, 2))
     outputs = rng.normal(size=(7, 2))
     direct = np.mean((outputs - x @ w) ** 2)
     assert abs(signature_error(x, outputs, w) - direct) <= 1e-15
+    # A [K, L, H] stack whose [K, R, L] broadcast of the rows is split over
+    # the pool by signature has the bits of the broadcasting formula.
+    x, w = rng.normal(size=(512, 96)), rng.normal(size=(4, 96, 48))
+    outputs = rng.normal(size=(4, 512, 48))
+    assert 4 * x.size >= nc.SPLIT_MIN
+    direct = np.mean((outputs - x @ w) ** 2, axis=(-2, -1))
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("DISENTS_THREADS", threads)
+        assert signature_error(x, outputs, w).tobytes() == direct.tobytes(), threads
+        assert (nc._POOL is not None) == (threads != "1")

@@ -4,6 +4,7 @@ tape, which backward replays once and then frees."""
 
 import gc
 import math
+import sys
 import time
 import tracemalloc
 import zlib
@@ -15,6 +16,7 @@ from scipy.special import erf
 import disents.numcore as nc
 from disents.errors import ConfigError, ContractError, NumericError, ShapeError
 from disents.backbones import BackboneConfig
+from disents.gating import GateConfig
 from disents.numcore import (ADAM_BLOCK, AdamState, Tensor, adam_step, backward, grad_check, pinv,
                              recording)
 from disents.objectives import mse_loss
@@ -396,17 +398,37 @@ def test_pinv_is_a_gradient_barrier():
     assert len(rec) == 0
 
 
-def test_pinv_of_a_stack_equals_a_pinv_per_matrix():
+def whole_stack_pinv(stack, rcond=1e-6):
+    """The pseudo-inverse of a whole stack from one SVD call, the reference
+    for the one split over the pool."""
+    u, s, vt = np.linalg.svd(stack, full_matrices=False)
+    keep = s > rcond * s[..., :1]
+    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    return (np.swapaxes(vt, -1, -2) * inv[..., np.newaxis, :]) @ np.swapaxes(u, -1, -2)
+
+
+def test_pinv_of_a_stack_equals_a_pinv_per_matrix(monkeypatch):
+    """Small stacks run inline; a [4, 192, 96] stack (the LWA inputs of a
+    96->96 model) is split over the pool by matrix. Either way each matrix
+    has the bits of its own pinv and of one SVD call over the whole stack."""
     rng = np.random.default_rng(23)
     tall = rng.normal(size=(4, 9, 5))
     tall[2] = rng.normal(size=(9, 2)) @ rng.normal(size=(2, 5))  # rank 2
     tall[3, :5] = np.diag([1.0, 1e-9, 2.0, 3.0, 1e-3])  # one singular value cut
     tall[3, 5:] = 0.0
-    for stack in (tall, np.swapaxes(tall, 1, 2), tall[:, :5]):
-        out = pinv(stack).data
-        assert out.shape == stack.shape[:-2] + stack.shape[:-3:-1]
-        for m in range(stack.shape[0]):
-            assert out[m].tobytes() == pinv(stack[m]).data.tobytes(), m
+    large = rng.normal(size=(4, 192, 96))
+    large[1] = rng.normal(size=(192, 3)) @ rng.normal(size=(3, 96))  # rank 3
+    assert large.size >= nc.SPLIT_MIN > tall.size
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("DISENTS_THREADS", threads)
+        for stack in (tall, np.swapaxes(tall, 1, 2), tall[:, :5], large, np.swapaxes(large, 1, 2)):
+            out = pinv(stack).data
+            assert out.shape == stack.shape[:-2] + stack.shape[:-3:-1]
+            assert out.tobytes() == whole_stack_pinv(stack).tobytes(), (threads, stack.shape)
+            for m in range(stack.shape[0]):
+                assert out[m].tobytes() == pinv(stack[m]).data.tobytes(), m
+        assert (nc._POOL is not None) == (threads != "1")
+        nc.drop_pool()
 
 
 def test_pinv_errors():
@@ -511,26 +533,85 @@ def test_blocked_adam_updates_a_transposed_parameter_in_place():
         assert same_bits(t.data, p)
 
 
-def test_adam_states_never_share_scratch():
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("case", ["1d-ragged", "2d-transposed-grad", "transposed-view", "stack"])
+def test_adam_split_over_the_pool_matches_whole_array_formula(case, threads, monkeypatch):
+    """Parameters of at least SPLIT_MIN elements are cut into row pieces over
+    the pool, each blocked on its own scratch pair, with the bits of the
+    whole-array update and in place in the parameter's own array."""
+    monkeypatch.setenv("DISENTS_THREADS", threads)
+    rng = np.random.default_rng(45)
+    if case == "transposed-view":  # K=4 experts.w installed as a transposed view
+        model = DisenTSModel(ModelConfig(n_experts=4, backbone=BackboneConfig("linear", 200, 100),
+                                         gate=GateConfig(embed_dim=8, heads=2)))
+        base = rng.normal(size=(4, 100, 200))
+        model.set_parameter("experts.w", Tensor(base.transpose(0, 2, 1), requires_grad=True))
+        params = [t for _, t in model.named_parameters()]
+        assert not params[0].data.flags.c_contiguous and params[0].data.base is base
+    else:
+        shape = {"1d-ragged": (2 * nc.SPLIT_MIN + 2 * ADAM_BLOCK + 7,),
+                 "2d-transposed-grad": (701, 130), "stack": (4, 192, 96)}[case]
+        params = [nc.parameter(rng.normal(size=shape))]
+    assert params[0].size >= nc.SPLIT_MIN
+    datas = [t.data for t in params]
+    refs = [(t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for t in params]
+    state = AdamState.for_params(params, lr=1e-2)
+    for step in range(1, 4):
+        grads = [rng.normal(size=t.shape[::-1]).T if case == "2d-transposed-grad"
+                 else rng.normal(size=t.shape) for t in params]
+        adam_step(params, grads, state)
+        for (p, m, v), g in zip(refs, grads):
+            whole_array_adam(p, g, m, v, step, lr=1e-2)
+    assert (nc._POOL is not None) == (threads != "1")
+    assert 1 <= len(state.scratch) <= int(threads)
+    for t, data, (p, m, v), sm, sv in zip(params, datas, refs, state.m, state.v, strict=True):
+        assert t.data is data
+        assert same_bits(t.data, p) and same_bits(sm, m) and same_bits(sv, v)
+
+
+def test_adam_states_never_share_scratch(monkeypatch):
+    """No two states, and no two scratch pairs of one state, share memory,
+    also once threaded steps have given a state a pair per row piece. The
+    threaded steps run more pieces than cores with a short switch interval;
+    pieces sharing a pair would break the bits of the update."""
     p = nc.parameter(np.zeros(3))
     states = [AdamState.for_params([p]), AdamState.for_params([p]), AdamState(), AdamState()]
-    buffers = [buf for state in states for buf in state.scratch]
+    monkeypatch.setenv("DISENTS_THREADS", "4")
+    rng = np.random.default_rng(46)
+    big = [nc.parameter(rng.normal(size=(6, nc.SPLIT_MIN))) for _ in range(2)]
+    refs = [(t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for t in big]
+    threaded = [AdamState.for_params([t], lr=1e-2) for t in big]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for step in range(1, 4):
+            for t, state, (ref_p, ref_m, ref_v) in zip(big, threaded, refs):
+                g = rng.normal(size=t.shape)
+                adam_step([t], [g], state)
+                whole_array_adam(ref_p, g, ref_m, ref_v, step, lr=1e-2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert nc._POOL is not None and all(1 <= len(state.scratch) <= 4 for state in threaded)
+    assert all(same_bits(t.data, ref[0]) for t, ref in zip(big, refs))
+    buffers = [buf for state in states + threaded for pair in state.scratch for buf in pair]
     assert all(not np.shares_memory(a, b) for i, a in enumerate(buffers) for b in buffers[i + 1:])
 
 
-def test_warm_adam_step_allocates_no_full_size_temporaries():
+def test_warm_adam_step_allocates_no_full_size_temporaries(monkeypatch):
     n = 1 << 20
     p = nc.parameter(rand((n,), 43))
     g = rand((n,), 44)
-    state = AdamState.for_params([p])
-    adam_step([p], [g], state)
-    tracemalloc.start()
-    try:
+    for threads in ("1", "2"):  # inline, then in two row pieces
+        monkeypatch.setenv("DISENTS_THREADS", threads)
+        state = AdamState.for_params([p])
         adam_step([p], [g], state)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20  # one full-size temporary alone is 8 MiB
+        tracemalloc.start()
+        try:
+            adam_step([p], [g], state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, threads  # one full-size temporary alone is 8 MiB
 
 
 def _first_entry_adjoints(op, a, b, g):
@@ -696,8 +777,19 @@ def test_small_arrays_read_no_environment_and_touch_no_pool(monkeypatch):
     value, adjoint = _gelu_taped(x, np.ones_like(x))
     assert np.array_equal(value, _gelu_formula(x, np.ones_like(x))[0])
     assert nc._POOL is None
+    small = np.random.default_rng(43).normal(size=(4, 96, 48))
+    assert small.size < nc.SPLIT_MIN
+    assert pinv(small).data.tobytes() == whole_stack_pinv(small).tobytes()
+    p = nc.parameter(np.zeros(nc.SPLIT_MIN - 1))
+    adam_step([p], [np.ones(p.shape)], AdamState.for_params([p]))
+    assert nc._POOL is None
     with pytest.raises(ConfigError, match="DISENTS_THREADS must be an integer"):
         nc.gelu(Tensor(np.zeros((64, nc.SPLIT_MIN // 64))))
+    with pytest.raises(ConfigError, match="DISENTS_THREADS must be an integer"):
+        pinv(np.zeros((4, 192, 96)))
+    big = nc.parameter(np.zeros(nc.SPLIT_MIN))
+    with pytest.raises(ConfigError, match="DISENTS_THREADS must be an integer"):
+        adam_step([big], [np.ones(big.shape)], AdamState.for_params([big]))
 
 
 def test_a_failing_chunk_raises_after_every_chunk_has_run(monkeypatch):

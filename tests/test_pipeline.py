@@ -846,28 +846,39 @@ def _wide_gate_model(seed, k=4):
                         seed=seed)
 
 
-def test_train_steps_are_bit_identical_at_one_and_two_threads(monkeypatch):
+def test_train_steps_are_bit_identical_at_one_two_and_three_threads(monkeypatch):
+    """A 40-window `linear` 12->6 batch splits the gate FFN; 16 windows of
+    16 channels at `decomp-linear` 96->96 also split LWA's [4, 192, 96]
+    pinv, signature_error's products and Adam over gate.sig_w1."""
     rng = np.random.default_rng(27)
     x, y = rng.normal(size=(120, 8, 12)), rng.normal(size=(120, 8, 6))
+    x_long, y_long = rng.normal(size=(32, 16, 96)), rng.normal(size=(32, 16, 96))
     assert 40 * 8 * 4 * 64 >= nc.SPLIT_MIN  # a 40-window batch splits the gate FFN
+    long_config = ModelConfig(n_experts=4, backbone=BackboneConfig("decomp-linear", 96, 96))
+    assert effective_top_k(long_config.lwa, 16 * 16, 96) * 96 * 4 >= nc.SPLIT_MIN
 
-    def outputs(threads):
-        monkeypatch.setenv("DISENTS_THREADS", threads)
-        model = _wide_gate_model(27)
+    def run(model, x, y, batch):
         opt = AdamState.for_params([t for _, t in model.named_parameters()], lr=1e-3)
         step_rng = train_rng(27)
         got = []
-        for start in (0, 40, 80):
-            report = train_step(model, x[start:start + 40], y[start:start + 40], opt, step_rng)
+        for start in range(0, x.shape[0], batch):
+            report = train_step(model, x[start:start + batch], y[start:start + batch], opt, step_rng)
             got.append(np.array([report.l_fc, report.l_sc, report.total, *report.epsilons]))
-        return got + list(model.arrays().values())
+        return got + list(model.arrays().values()) + opt.m + opt.v
+
+    def outputs(threads):
+        monkeypatch.setenv("DISENTS_THREADS", threads)
+        long_model = DisenTSModel(long_config, seed=27)
+        assert dict(long_model.named_parameters())["gate.sig_w1"].size >= nc.SPLIT_MIN
+        return run(_wide_gate_model(27), x, y, 40) + run(long_model, x_long, y_long, 16)
 
     serial = outputs("1")
     assert nc._POOL is None
-    threaded = outputs("2")
-    assert nc._POOL is not None
-    for a, b in zip(serial, threaded, strict=True):
-        assert a.tobytes() == b.tobytes()
+    for threads in ("2", "3"):
+        threaded = outputs(threads)
+        assert nc._POOL is not None
+        for a, b in zip(serial, threaded, strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 @given(windows=st.integers(1, 300))
