@@ -64,6 +64,18 @@ def moving_average_matrix(length: int, kernel: int) -> np.ndarray:
     return m
 
 
+def param_shapes(config: BackboneConfig) -> dict[str, tuple[int, ...]]:
+    """One expert's parameter shapes by key, in draw order; a `Backbone`
+    stacks each over its K experts."""
+    L, H, hidden = config.lookback, config.horizon, config.hidden
+    return {
+        "linear": {"w": (L, H), "b": (H,)},
+        "decomp-linear": {"trend_w": (L, H), "trend_b": (H,),
+                          "seasonal_w": (L, H), "seasonal_b": (H,)},
+        "mlp": {"w1": (L, hidden), "b1": (hidden,), "w2": (hidden, H), "b2": (H,)},
+    }[config.kind]
+
+
 class Backbone:
     """The K expert forecasters as one stack: config plus named parameter
     tensors, each of shape [K, ...]: one weight or bias per expert. The
@@ -75,19 +87,14 @@ class Backbone:
         require_integers(n_experts=n_experts)
         self.config = config
         self.n_experts = n_experts
-        L, H, hidden = config.lookback, config.horizon, config.hidden
-        shapes = {
-            "linear": {"w": (L, H), "b": (H,)},
-            "decomp-linear": {"trend_w": (L, H), "trend_b": (H,),
-                              "seasonal_w": (L, H), "seasonal_b": (H,)},
-            "mlp": {"w1": (L, hidden), "b1": (hidden,), "w2": (hidden, H), "b2": (H,)},
-        }[config.kind]
+        shapes = param_shapes(config)
         experts = [{key: rng.normal(0.0, INIT_STD, size=shape) if len(shape) == 2
                     else np.zeros(shape) for key, shape in shapes.items()}
                    for _ in range(n_experts)]
         self.params: dict[str, Tensor] = {
             key: nc.parameter(np.stack([e[key] for e in experts])) for key in shapes}
         # The moving average as a read-only [K, L, L] stack, one matrix per expert.
+        L = config.lookback
         self._trend_stack = (np.broadcast_to(moving_average_matrix(L, config.decomp_kernel),
                                              (n_experts, L, L))
                              if config.kind == "decomp-linear" else None)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .decode import Count, decode, require_integers
 from .errors import ConfigError, ParseError
-from .pipeline import DisenTSModel, ModelConfig
+from .pipeline import DisenTSModel, ModelConfig, array_shapes
 
 MANIFEST = "manifest.json"
 FORMAT_VERSION = 2
@@ -100,15 +100,14 @@ def save_model(model: DisenTSModel, directory: str | Path) -> Path:
     return directory
 
 
-def _slots(model: DisenTSModel, version: int) -> dict[str, tuple[str, int | None]]:
+def _slots(names: list[str], n_experts: int, version: int) -> dict[str, tuple[str, int | None]]:
     """Each array name a manifest of `version` lists, with the `arrays()`
-    name it loads into and the row of that array, None for all of it.
-    Format 1 named one array per expert: `expert{m}.<key>` is row m of
-    `experts.<key>`, and `registry.gamma{m}` row m of `registry.gamma`."""
-    names = list(model.arrays())
+    name (of `names`) it loads into and the row of that array, None for all
+    of it. Format 1 named one array per expert: `expert{m}.<key>` is row m
+    of `experts.<key>`, and `registry.gamma{m}` row m of `registry.gamma`."""
     if version == FORMAT_VERSION:
         return {name: (name, None) for name in names}
-    experts = range(model.n_experts)
+    experts = range(n_experts)
     slots = {f"expert{m}.{name.partition('.')[2]}": (name, m)
              for m in experts for name in names if name.startswith("experts.")}
     slots.update((name, (name, None)) for name in names if name.startswith("gate."))
@@ -118,8 +117,11 @@ def _slots(model: DisenTSModel, version: int) -> dict[str, tuple[str, int | None
 
 def load_model(directory: str | Path) -> DisenTSModel:
     """Rebuild a saved model. Every array the manifest's format names must
-    be listed exactly once, with its saved shape and, from format 2 on, the
-    SHA-256 of its file; anything else is rejected."""
+    be listed exactly once, with the shape its config implies and, from
+    format 2 on, the SHA-256 of its file; anything else is rejected. The
+    names, shapes, file sizes and registry flags are checked against the
+    config before the model is built, so a manifest cannot make the loader
+    allocate more than its array files hold."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST
     if not manifest_path.is_file():
@@ -135,13 +137,13 @@ def load_model(directory: str | Path) -> DisenTSModel:
     if raw["format"] not in SCHEMAS:
         raise ConfigError(f"unsupported checkpoint format {raw['format']!r}")
     manifest = decode(SCHEMAS[raw["format"]], raw, "checkpoint manifest field ")
-    model = DisenTSModel(manifest.meta.config, seed=manifest.meta.seed)
-    model.step_count = manifest.meta.step_count
-    if len(manifest.meta.registry_initialized) != model.n_experts:
+    meta = manifest.meta
+    n_experts = meta.config.n_experts
+    if len(meta.registry_initialized) != n_experts:
         raise ConfigError(f"checkpoint manifest field meta.registry_initialized must hold "
-                          f"{model.n_experts} booleans")
-    model.registry.initialized = manifest.meta.registry_initialized
-    targets, slots = model.arrays(), _slots(model, manifest.format)
+                          f"{n_experts} booleans")
+    shapes = array_shapes(meta.config)
+    slots = _slots(list(shapes), n_experts, manifest.format)
     names = [entry.name for entry in manifest.arrays]
     for name in names:
         if name not in slots:
@@ -151,11 +153,10 @@ def load_model(directory: str | Path) -> DisenTSModel:
     if missing or repeated:
         raise ConfigError(f"checkpoint arrays missing: {', '.join(missing) or 'none'}; "
                           f"listed more than once: {', '.join(repeated) or 'none'}")
-    loaded = {}
     for i, entry in enumerate(manifest.arrays):
         name, shape, filename = entry.name, tuple(entry.shape), entry.file
         array, row = slots[name]
-        expected = targets[array].shape if row is None else targets[array].shape[1:]
+        expected = shapes[array] if row is None else shapes[array][1:]
         if entry.dtype != "float64":
             raise ConfigError(f"array {name!r} has unsupported dtype {entry.dtype!r}")
         if filename in ("", ".", "..") or any(c in filename for c in "/\\\0"):
@@ -163,21 +164,32 @@ def load_model(directory: str | Path) -> DisenTSModel:
                               f"inside the checkpoint directory, got {filename!r}")
         try:
             nbytes = (directory / filename).stat().st_size
-            data = np.fromfile(directory / filename, dtype="<f8")
         except OSError as exc:
             raise ConfigError(f"array {name!r} cannot be read from {filename!r}: {exc}") from exc
-        if nbytes != 8 * math.prod(shape):  # fromfile drops a partial last value
+        if nbytes != 8 * math.prod(shape):
             raise ConfigError(f"array {name!r} holds {nbytes} bytes, expected shape {shape}")
         if expected != shape:
             raise ConfigError(f"shape mismatch for {name!r}: checkpoint {shape}, "
                               f"model {expected}")
+    # Every entry now fits the config and its file; only then is the model built.
+    model = DisenTSModel(meta.config, seed=meta.seed)
+    model.step_count = meta.step_count
+    model.registry.initialized = meta.registry_initialized
+    loaded = {}
+    for entry in manifest.arrays:
+        array, row = slots[entry.name]
+        try:
+            data = np.fromfile(directory / entry.file, dtype="<f8")
+        except OSError as exc:
+            raise ConfigError(f"array {entry.name!r} cannot be read from {entry.file!r}: "
+                              f"{exc}") from exc
         if isinstance(entry, ArrayEntry) and hashlib.sha256(data).hexdigest() != entry.sha256:
-            raise ConfigError(f"array {name!r} in {filename!r} does not match its sha256 "
-                              f"in the manifest")
-        data = data.reshape(shape)
+            raise ConfigError(f"array {entry.name!r} in {entry.file!r} does not match its "
+                              f"sha256 in the manifest")
+        data = data.reshape(entry.shape)
         if row is None:
             loaded[array] = data
         else:
-            loaded.setdefault(array, np.empty(targets[array].shape))[row] = data
+            loaded.setdefault(array, np.empty(shapes[array]))[row] = data
     model.load_arrays(loaded)
     return model

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbones import BackboneConfig
+from .backbones import KINDS, BackboneConfig
 from .checkpoint import load_model, save_model
 from .datakit import (GroupSpec, SeriesDataset, WindowedData, WindowSpec, default_two_group,
                       labels_sidecar_path, load_csv, load_labels, make_windows, routing_purity,
@@ -33,9 +33,9 @@ from .gating import GateConfig
 from .lwa import LwaConfig
 from .numcore import thread_count
 from .objectives import LossConfig
-from .pipeline import (DisenTSModel, ModelConfig, TrainConfig, evaluate,
-                       expert_signatures, fit, forward, mean_routing, signature_errors,
-                       unified_baseline)
+from .pipeline import (DisenTSModel, Metrics, ModelConfig, Stationarizer, TrainConfig,
+                       evaluate, expert_signatures, fit, forward, mean_routing,
+                       signature_errors, unified_baseline)
 
 
 @dataclass
@@ -48,35 +48,35 @@ class RunConfig:
     k_experts: int = 2
     lookback: int = 48
     horizon: int = 24
-    stride: int = 1
-    train_frac: float = 0.7
-    val_frac: float = 0.1
-    test_frac: float = 0.2
+    stride: int = WindowSpec.stride
+    train_frac: float = WindowSpec.fractions[0]
+    val_frac: float = WindowSpec.fractions[1]
+    test_frac: float = WindowSpec.fractions[2]
     backbone: str = "linear"
-    hidden: int = 64
-    decomp_kernel: int = 25
-    epochs: int = 15
-    batch_size: int = 32
-    lr: float = 1e-3
-    patience: int = 3
-    sc_weight: float = 0.1
-    tau: float = 1.0
-    raw_similarity: bool = False
-    alpha: float = 0.9
-    top_k: int | None = None
-    gate_dim: int = 64
-    gate_heads: int = 4
-    gate_dropout: float = 0.1
-    eps_norm: float = 1e-5
+    hidden: int = BackboneConfig.hidden
+    decomp_kernel: int = BackboneConfig.decomp_kernel
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    lr: float = TrainConfig.lr
+    patience: int = TrainConfig.patience
+    sc_weight: float = LossConfig.sc_weight
+    tau: float = LossConfig.tau
+    raw_similarity: bool = not LossConfig.normalize_sims
+    alpha: float = LwaConfig.alpha
+    top_k: int | None = LwaConfig.top_k
+    gate_dim: int = GateConfig.embed_dim
+    gate_heads: int = GateConfig.heads
+    gate_dropout: float = GateConfig.dropout
+    eps_norm: float = Stationarizer.eps_norm
     synth_length: int = 4000
     synth_channels_per_group: int = 4
     synth_noise: float = 0.1
     synth_phase_jitter: float = 0.5
-    synth_periods: list[float] = None  # type: ignore[assignment]
-    synth_amplitudes: list[float] = None  # type: ignore[assignment]
-    synth_trends: list[float] = None  # type: ignore[assignment]
-    synth_signs: list[float] = None  # type: ignore[assignment]
-    synth_harmonics: list[int] = None  # type: ignore[assignment]
+    synth_periods: list[float] | None = None
+    synth_amplitudes: list[float] | None = None
+    synth_trends: list[float] | None = None
+    synth_signs: list[float] | None = None
+    synth_harmonics: list[int] | None = None
 
     def __post_init__(self):
         # a null list means the groups' values in datakit.default_two_group()
@@ -205,12 +205,10 @@ def _output_dir(config: RunConfig) -> Path:
     return out_dir
 
 
-def _write_metrics(out_dir: Path, metrics, runtime_s: float, name: str = "metrics.json") -> Path:
-    payload = metrics.to_dict()
-    payload["runtime_s"] = runtime_s
-    path = out_dir / name
+def _write_metrics(out_dir: Path, metrics: Metrics, runtime_s: float) -> Path:
+    path = out_dir / "metrics.json"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump({**asdict(metrics), "runtime_s": runtime_s}, fh, indent=2)
     return path
 
 
@@ -322,7 +320,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lookback", type=int, dest="lookback")
     parser.add_argument("--horizon", type=int, dest="horizon")
     parser.add_argument("--stride", type=int, dest="stride")
-    parser.add_argument("--backbone", choices=("linear", "decomp-linear", "mlp"), dest="backbone")
+    parser.add_argument("--backbone", choices=KINDS, dest="backbone")
     parser.add_argument("--hidden", type=int, dest="hidden")
     parser.add_argument("--decomp-kernel", type=int, dest="decomp_kernel")
     parser.add_argument("--epochs", type=int, dest="epochs")

@@ -4,9 +4,9 @@ The CLI's RunConfig and a checkpoint's whole manifest, its ModelConfig
 included, are read by the same rules, taken from the dataclass's resolved
 annotations: every field present and no other key; a bool is no int; a
 `Count` is a non-negative int; a float field takes finite ints or floats; a
-list is checked element by element; `X | None` (or a null default) takes
-null; a dataclass-typed field, and each item of a list of dataclasses, is
-decoded in turn. The dataclass's own `__post_init__` then checks ranges
+list is checked element by element; `X | None` takes null; a
+dataclass-typed field, and each item of a list of dataclasses, is decoded
+in turn. The dataclass's own `__post_init__` then checks ranges
 and, through `require_integers`, that each count field holds an integer,
 since library callers reach it without the decoder.
 """
@@ -75,8 +75,6 @@ def decode(cls, raw: dict, where: str):
             raise ConfigError(f"{where}{f.name} is missing (malformed config)")
         value, kind = raw[f.name], hints[f.name]
         kinds = typing.get_args(kind) if isinstance(kind, types.UnionType) else (kind,)
-        if f.default is None and type(None) not in kinds:
-            kinds += (type(None),)
         if not any(_fits(value, k) for k in kinds):
             words = " or ".join("an object" if is_dataclass(k) else "a list of objects"
                                 if is_dataclass(_item(k)) else _WORDS[k] for k in kinds)

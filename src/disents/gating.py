@@ -38,6 +38,22 @@ class GateConfig:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
 
 
+def param_shapes(lookback: int, horizon: int, n_experts: int,
+                 config: GateConfig) -> dict[str, tuple[int, ...]]:
+    """The gate's parameter shapes by key, in draw order. Matrices start as
+    N(0, INIT_STD^2) draws, layer-norm gains at one and the other vectors
+    at zero."""
+    d = config.embed_dim
+    ffn = 4 * d
+    return {"w_in": (lookback, d),
+            "sig_w1": (lookback * horizon, ffn), "sig_b1": (ffn,),
+            "sig_w2": (ffn, d), "sig_b2": (d,),
+            "attn_wq": (d, d), "attn_wk": (d, d), "attn_wv": (d, d), "attn_wo": (d, d),
+            "ffn_w1": (d, ffn), "ffn_b1": (ffn,), "ffn_w2": (ffn, d), "ffn_b2": (d,),
+            "ln1_gain": (d,), "ln1_bias": (d,), "ln2_gain": (d,), "ln2_bias": (d,),
+            "w_out": (d, n_experts)}
+
+
 class GateParams:
     """All trainable gate tensors for a fixed (lookback, horizon, K)."""
 
@@ -49,35 +65,10 @@ class GateParams:
         self.lookback = lookback
         self.horizon = horizon
         self.n_experts = n_experts
-        d = config.embed_dim
-        ffn = 4 * d
-
-        def weight(shape):
-            return nc.parameter(rng.normal(0.0, INIT_STD, size=shape))
-
-        def bias(n):
-            return nc.parameter(np.zeros(n))
-
         self.params: dict[str, Tensor] = {
-            "w_in": weight((lookback, d)),
-            "sig_w1": weight((lookback * horizon, ffn)),
-            "sig_b1": bias(ffn),
-            "sig_w2": weight((ffn, d)),
-            "sig_b2": bias(d),
-            "attn_wq": weight((d, d)),
-            "attn_wk": weight((d, d)),
-            "attn_wv": weight((d, d)),
-            "attn_wo": weight((d, d)),
-            "ffn_w1": weight((d, ffn)),
-            "ffn_b1": bias(ffn),
-            "ffn_w2": weight((ffn, d)),
-            "ffn_b2": bias(d),
-            "ln1_gain": nc.parameter(np.ones(d)),
-            "ln1_bias": bias(d),
-            "ln2_gain": nc.parameter(np.ones(d)),
-            "ln2_bias": bias(d),
-            "w_out": weight((d, n_experts)),
-        }
+            key: nc.parameter(rng.normal(0.0, INIT_STD, size=shape) if len(shape) == 2
+                              else np.ones(shape) if key.endswith("_gain") else np.zeros(shape))
+            for key, shape in param_shapes(lookback, horizon, n_experts, config).items()}
 
 
 def embed_forecasters(signatures: np.ndarray, gate: GateParams) -> Tensor:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import gating
+from . import backbones, gating
 from . import numcore as nc
 from .backbones import Backbone, BackboneConfig, forecast_batch, layers
 from .datakit import WindowedData
@@ -78,7 +78,7 @@ class ModelConfig:
     gate: GateConfig = GateConfig()
     lwa: LwaConfig = LwaConfig()
     loss: LossConfig = LossConfig()
-    eps_norm: float = 1e-5
+    eps_norm: float = Stationarizer.eps_norm
 
     def __post_init__(self):
         if not self.n_experts >= 1:
@@ -158,7 +158,8 @@ class DisenTSModel:
     def arrays(self) -> dict[str, np.ndarray]:
         """Every array the model holds, by name: the live parameter stacks
         under their `named_parameters()` names, then the registry's
-        `[K, L, H]` signatures as `registry.gamma`. The values are for
+        `[K, L, H]` signatures as `registry.gamma`; `array_shapes` lists
+        their names and shapes from a config alone. The values are for
         reading: write through `load_arrays`. Evaluation reuses one signature
         embedding and one set of backbone `layers` (`_eval_cache`) until
         `train_step`, `set_parameter` or `load_arrays` bumps the state
@@ -210,6 +211,18 @@ class DisenTSModel:
         x = np.asarray(x, dtype=np.float64)
         return np.concatenate(nc.pool_map(
             lambda s: forward(self, x[s], training=False).y_hat.data, _chunks(x)))
+
+
+def array_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every array of `DisenTSModel(config).arrays()`,
+    in order, worked out without building the model."""
+    n, bb = config.n_experts, config.backbone
+    shapes = {f"experts.{key}": (n, *shape) for key, shape in backbones.param_shapes(bb).items()}
+    if n > 1:
+        shapes.update((f"gate.{key}", shape) for key, shape in
+                      gating.param_shapes(bb.lookback, bb.horizon, n, config.gate).items())
+    shapes["registry.gamma"] = (n, bb.lookback, bb.horizon)
+    return shapes
 
 
 def _chunks(x: np.ndarray) -> list[slice]:
@@ -328,9 +341,6 @@ class Metrics:
     mae: float
     per_channel_mse: list[float]
 
-    def to_dict(self) -> dict:
-        return {"mse": self.mse, "mae": self.mae, "per_channel_mse": self.per_channel_mse}
-
 
 def evaluate(model, x: np.ndarray, y: np.ndarray) -> Metrics:
     """Forecast metrics of any `.predict` model over a windowed split.
@@ -372,10 +382,6 @@ class EpochRecord:
     val_mse: float
     epsilons: list[float]
     elapsed_s: float
-
-    def to_dict(self) -> dict:
-        return {"epoch": self.epoch, "train_lfc": self.train_lfc, "train_lsc": self.train_lsc,
-                "val_mse": self.val_mse, "epsilons": self.epsilons, "elapsed_s": self.elapsed_s}
 
 
 @dataclass
@@ -425,7 +431,7 @@ def fit(model: DisenTSModel, data: WindowedData, config: TrainConfig,
         result.history.append(record)
         if log_path is not None:
             with open(log_path, "a") as fh:
-                fh.write(json.dumps(record.to_dict()) + "\n")
+                fh.write(json.dumps(asdict(record)) + "\n")
         if val_mse < result.best_val_mse:
             result.best_val_mse = val_mse
             best_state = ({name: a.copy() for name, a in model.arrays().items()},
@@ -456,7 +462,7 @@ def mean_routing(model: DisenTSModel, x: np.ndarray) -> np.ndarray:
 
 
 def unified_baseline(data: WindowedData, backbone: BackboneConfig, config: TrainConfig,
-                     eps_norm: float = 1e-5) -> tuple[Metrics, DisenTSModel]:
+                     eps_norm: float = Stationarizer.eps_norm) -> tuple[Metrics, DisenTSModel]:
     """Train the single-backbone baseline and report its test metrics.
 
     The baseline is the one-expert model: a `DisenTSModel` with no gate,

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import shutil
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -321,6 +322,34 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys, damage, field):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("config", [
+    {"backbone": {"lookback": 4_000_000, "horizon": 4_000_000}},
+    {"gate": {"embed_dim": 10 ** 12}},
+], ids=["window", "gate-dim"])
+def test_a_config_implying_huge_arrays_is_rejected_before_allocating(tmp_path, capsys, config):
+    """Each edit makes the first array the model would draw at least a
+    tebibyte (`experts.trend_w` or `gate.w_in`), while the array files stay
+    as saved."""
+    dataset = _synth_csv(tmp_path / "data")
+    save_model(trained_model(), tmp_path / "ckpt")
+    manifest = json.loads((tmp_path / "ckpt" / MANIFEST).read_text())
+    for part, values in config.items():
+        manifest["meta"]["config"][part].update(values)
+    (tmp_path / "ckpt" / MANIFEST).write_text(json.dumps(manifest))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="shape mismatch"):
+            load_model(tmp_path / "ckpt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    code = main(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--dataset", str(dataset),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: shape mismatch")
 
 
 def test_format1_checkpoint_loads_each_expert_as_a_row_of_its_stack():

@@ -20,8 +20,9 @@ from disents import cli
 from disents.backbones import BackboneConfig
 from disents.checkpoint import save_model
 from disents.cli import RunConfig, load_run_config, main
+from disents.datakit import WindowSpec
 from disents.errors import ConfigError, ParseError
-from disents.pipeline import DisenTSModel, ModelConfig
+from disents.pipeline import DisenTSModel, EpochRecord, Metrics, ModelConfig, TrainConfig
 from json_values import JSON_VALUES
 
 TRAIN_FLAGS = ["--lookback", "16", "--horizon", "8", "--gate-dim", "16",
@@ -87,6 +88,20 @@ def test_train_artifacts(workspace):
     assert 1 <= len(log_lines) <= 2
     assert "val_mse" in json.loads(log_lines[0])
     assert (out / "checkpoint" / "manifest.json").is_file()
+
+
+def test_records_hold_their_dataclass_fields_in_field_order(workspace):
+    metrics = read_json(workspace["train_out"] / "metrics.json")
+    assert list(metrics) == [f.name for f in fields(Metrics)] + ["runtime_s"]
+    for line in (workspace["train_out"] / "train_log.jsonl").read_text().splitlines():
+        assert list(json.loads(line)) == [f.name for f in fields(EpochRecord)]
+
+
+def test_run_config_defaults_are_the_component_defaults():
+    config = RunConfig()
+    assert cli._model_config(config) == ModelConfig(2, BackboneConfig("linear", 48, 24))
+    assert cli._train_config(config) == TrainConfig()
+    assert cli._window_spec(config, 48, 24) == WindowSpec(48, 24)
 
 
 def test_train_rerun_is_deterministic(workspace):

@@ -47,7 +47,7 @@ class Outer:
     inner: Inner
     sizes: list[int]
     limit: int | None = None
-    weights: list[float] = None  # type: ignore[assignment]
+    weights: list[float] | None = None
     n: Count = 0
     flags: list[bool] = field(default_factory=list)
     items: list[Inner] = field(default_factory=list)

@@ -29,8 +29,9 @@ from disents.gating import GateConfig, route
 from disents.lwa import LwaConfig, approximate, effective_top_k, select_top_k
 from disents.numcore import AdamState, adam_step, backward, recording
 from disents.objectives import LossConfig, mse_loss, similarity_constraint, total_loss
-from disents.pipeline import (DisenTSModel, ModelConfig, Stationarizer, TrainConfig, evaluate,
-                              fit, forward, init_rng, mean_routing, train_rng, train_step)
+from disents.pipeline import (DisenTSModel, ModelConfig, Stationarizer, TrainConfig, array_shapes,
+                              evaluate, fit, forward, init_rng, mean_routing, train_rng,
+                              train_step)
 
 
 def small_config(k, lookback=12, horizon=6, dropout=0.0, sc_weight=0.1):
@@ -346,6 +347,15 @@ def test_arrays_and_set_parameter_share_one_set_of_names():
     replacement = nc.parameter(np.zeros((2, 12, 6)))
     model.set_parameter("experts.w", replacement)
     assert model.backbone.params["w"] is replacement
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n_experts", [1, 3])
+def test_array_shapes_lists_the_arrays_of_the_built_model(kind, n_experts):
+    config = ModelConfig(n_experts, BackboneConfig(kind, 12, 6, hidden=9, decomp_kernel=5),
+                         gate=GateConfig(embed_dim=8, heads=2))
+    arrays = DisenTSModel(config).arrays()
+    assert list(array_shapes(config).items()) == [(k, a.shape) for k, a in arrays.items()]
 
 
 def test_train_step_updates_everything_in_order():
