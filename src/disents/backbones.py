@@ -79,17 +79,18 @@ def param_shapes(config: BackboneConfig) -> dict[str, tuple[int, ...]]:
 class Backbone:
     """The K expert forecasters as one stack: config plus named parameter
     tensors, each of shape [K, ...]: one weight or bias per expert. The
-    weights are drawn expert by expert, so expert 0 is the same at every K."""
+    weights are drawn expert by expert, so expert 0 is the same at every K;
+    with no `rng` every parameter starts at zero, for a caller that fills it."""
 
-    def __init__(self, config: BackboneConfig, n_experts: int, rng: np.random.Generator):
+    def __init__(self, config: BackboneConfig, n_experts: int, rng: np.random.Generator | None):
         if n_experts < 1:
             raise ConfigError(f"a backbone stack needs at least one expert, got {n_experts}")
         require_integers(n_experts=n_experts)
         self.config = config
         self.n_experts = n_experts
         shapes = param_shapes(config)
-        experts = [{key: rng.normal(0.0, INIT_STD, size=shape) if len(shape) == 2
-                    else np.zeros(shape) for key, shape in shapes.items()}
+        experts = [{key: np.zeros(shape) if rng is None or len(shape) != 2
+                    else rng.normal(0.0, INIT_STD, size=shape) for key, shape in shapes.items()}
                    for _ in range(n_experts)]
         self.params: dict[str, Tensor] = {
             key: nc.parameter(np.stack([e[key] for e in experts])) for key in shapes}

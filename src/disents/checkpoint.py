@@ -120,8 +120,9 @@ def load_model(directory: str | Path) -> DisenTSModel:
     be listed exactly once, with the shape its config implies and, from
     format 2 on, the SHA-256 of its file; anything else is rejected. The
     names, shapes, file sizes and registry flags are checked against the
-    config before the model is built, so a manifest cannot make the loader
-    allocate more than its array files hold."""
+    config before any array is read or allocated, so a manifest cannot make
+    the loader allocate more than its array files hold. The model is built
+    on the arrays read, without drawing an init."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST
     if not manifest_path.is_file():
@@ -171,10 +172,7 @@ def load_model(directory: str | Path) -> DisenTSModel:
         if expected != shape:
             raise ConfigError(f"shape mismatch for {name!r}: checkpoint {shape}, "
                               f"model {expected}")
-    # Every entry now fits the config and its file; only then is the model built.
-    model = DisenTSModel(meta.config, seed=meta.seed)
-    model.step_count = meta.step_count
-    model.registry.initialized = meta.registry_initialized
+    # Every entry now fits the config and its file; only then are they read.
     loaded = {}
     for entry in manifest.arrays:
         array, row = slots[entry.name]
@@ -191,5 +189,7 @@ def load_model(directory: str | Path) -> DisenTSModel:
             loaded[array] = data
         else:
             loaded.setdefault(array, np.empty(shapes[array]))[row] = data
-    model.load_arrays(loaded)
+    model = DisenTSModel(meta.config, seed=meta.seed, arrays=loaded)
+    model.step_count = meta.step_count
+    model.registry.initialized = meta.registry_initialized
     return model

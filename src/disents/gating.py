@@ -55,10 +55,12 @@ def param_shapes(lookback: int, horizon: int, n_experts: int,
 
 
 class GateParams:
-    """All trainable gate tensors for a fixed (lookback, horizon, K)."""
+    """All trainable gate tensors for a fixed (lookback, horizon, K), drawn
+    from `rng` as `param_shapes` says; with no `rng` every tensor starts at
+    zero, for a caller that fills it."""
 
     def __init__(self, lookback: int, horizon: int, n_experts: int,
-                 config: GateConfig, rng: np.random.Generator):
+                 config: GateConfig, rng: np.random.Generator | None):
         if n_experts < 1:
             raise ConfigError(f"gate needs at least one expert, got {n_experts}")
         self.config = config
@@ -66,8 +68,10 @@ class GateParams:
         self.horizon = horizon
         self.n_experts = n_experts
         self.params: dict[str, Tensor] = {
-            key: nc.parameter(rng.normal(0.0, INIT_STD, size=shape) if len(shape) == 2
-                              else np.ones(shape) if key.endswith("_gain") else np.zeros(shape))
+            key: Tensor(np.zeros(shape) if rng is None
+                        else rng.normal(0.0, INIT_STD, size=shape) if len(shape) == 2
+                        else np.ones(shape) if key.endswith("_gain") else np.zeros(shape),
+                        requires_grad=True)
             for key, shape in param_shapes(lookback, horizon, n_experts, config).items()}
 
 

@@ -54,19 +54,21 @@ def effective_top_k(config: LwaConfig, pool: int, lookback: int) -> int:
 class EmaRegistry:
     """Per-expert EMA of linear signatures, gamma[m] in R^{lookback x horizon}.
 
-    Until an expert's first update its slot holds small seeded noise and is
-    flagged uninitialised; the first update copies W verbatim, later ones
-    blend gamma = alpha * gamma + (1 - alpha) * W.
+    Until an expert's first update its slot holds small seeded noise (zeros
+    with no `rng`, for a caller that fills it) and is flagged uninitialised;
+    the first update copies W verbatim, later ones blend
+    gamma = alpha * gamma + (1 - alpha) * W.
     """
 
     def __init__(self, n_experts: int, lookback: int, horizon: int,
-                 alpha: float, rng: np.random.Generator):
+                 alpha: float, rng: np.random.Generator | None):
         if n_experts < 1:
             raise ConfigError(f"registry needs at least one expert, got {n_experts}")
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
         self.alpha = alpha
-        self.gamma = rng.normal(0.0, INIT_STD, size=(n_experts, lookback, horizon))
+        shape = (n_experts, lookback, horizon)
+        self.gamma = np.zeros(shape) if rng is None else rng.normal(0.0, INIT_STD, size=shape)
         self.initialized = [False] * n_experts
 
     def update(self, signatures: np.ndarray) -> None:

@@ -10,7 +10,10 @@ gradient barrier) and the Adam update. Ops executed inside a
 freeing each entry as it goes, and leaves gradients on the tape's leaves
 (the tensors it reads but did not produce, such as parameters), so a step's
 activations are freed as soon as nothing else holds them. Elementwise ops,
-matmul and linear compute no adjoint for an input that takes no gradient.
+matmul and linear compute no adjoint for an input that takes no gradient. A
+2-D `linear` whose input takes none returns its weight adjoint x.T @ g as an
+`OuterProduct` of its factors, which a leaf keeps unformed until its `.grad`
+is read or `adam_step` forms it block by block.
 
 All data is float64 and row-major. The tape is thread-local, so concurrent
 evaluation threads that never open a recording stay independent.
@@ -25,7 +28,9 @@ way, in place in preallocated buffers; a stacked `linear` and `pinv` run
 over their K matrices that way, and `adam_step` over the rows of each large
 parameter. Every element sees the same operations in the same order
 however the rows are split (a matrix of a stack is one BLAS or LAPACK call
-either way), and the tasks given to `pool_map` are cut by their callers without
+either way; an `OuterProduct` is formed in row blocks of two rows or more,
+which on OpenBLAS give the whole product's bits where one-row blocks do
+not), and the tasks given to `pool_map` are cut by their callers without
 reading the thread count, so results do not depend on it. Smaller arrays run
 on the calling thread without reading the environment, and a pool worker
 runs everything inline, so no worker ever waits on the pool.
@@ -53,15 +58,25 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class Tensor:
-    """A dense float64 array plus a gradient slot of the same shape."""
+    """A dense float64 array plus a gradient slot of the same shape.
 
-    __slots__ = ("data", "requires_grad", "grad", "_record")
+    `adjoint` is the gradient as `backward` left it: an array, or an
+    `OuterProduct` on a 2-D `linear`'s weight; `grad` is it as an array,
+    formed on first read."""
+
+    __slots__ = ("data", "requires_grad", "adjoint", "_record")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad: Array | None = None
+        self.adjoint: Array | OuterProduct | None = None
         self._record: DiffRecord | None = None
+
+    @property
+    def grad(self) -> Array | None:
+        if isinstance(self.adjoint, OuterProduct):
+            self.adjoint = self.adjoint.array()
+        return self.adjoint
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -115,6 +130,30 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+
+class OuterProduct:
+    """The [n, p] weight adjoint x.T @ g of a 2-D `linear` whose input takes
+    no gradient, held as its factors: a copy of the input x [m, n] and the
+    output adjoint g [m, p]. `array()` forms it whole, with the bits of the
+    adjoint `linear` would otherwise return; `adam_step` forms it a row
+    block at a time."""
+
+    __slots__ = ("x", "g")
+
+    def __init__(self, x: Array, g: Array):
+        self.x, self.g = x, g
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.x.shape[1], self.g.shape[1]
+
+    def array(self) -> Array:
+        return _matmul_into(self.x.T, self.g)
+
+
+def _dense(g):
+    return g.array() if isinstance(g, OuterProduct) else g
 
 
 class _TapeEntry:
@@ -373,8 +412,11 @@ def matmul(a, b) -> Tensor:
 def _matmul_into(a: Array, b: Array, bias: Array | None = None) -> Array:
     """a @ b (+ bias over the last axis) in a fresh C-ordered buffer, the bias
     added in place. A [K, ...] stack runs matrix by matrix over `by_rows` of
-    its K axis, gated on its largest operand; a 2-D product runs whole, since
-    splitting it by rows changes the BLAS kernel and so the bits."""
+    its K axis, gated on its largest operand; a 2-D product runs whole. On
+    OpenBLAS, row blocks of two rows or more of x.T @ g with up to 8 inner
+    rows (1-5 and 8 measured) kept the whole product's bits, but a one-row
+    block (its gemv path) does not, nor do row blocks of the gate's narrow
+    [R, 64] @ [64, K] `w_out` head."""
     out = np.empty(a.shape[:-1] + b.shape[-1:])
 
     def matrices(s):
@@ -403,8 +445,13 @@ def linear(x, w, b) -> Tensor:
     out = _matmul_into(x.data, w.data, b.data)
 
     def backward(g):
-        return (_matmul_into(g, np.swapaxes(w.data, -1, -2)) if x.requires_grad else None,
-                _matmul_into(np.swapaxes(x.data, -1, -2), g) if w.requires_grad else None,
+        if not w.requires_grad:
+            d_w = None
+        elif x.ndim == 2 and not x.requires_grad:  # x is copied: it may be a view the caller writes
+            d_w = OuterProduct(np.array(x.data), g)
+        else:
+            d_w = _matmul_into(np.swapaxes(x.data, -1, -2), g)
+        return (_matmul_into(g, np.swapaxes(w.data, -1, -2)) if x.requires_grad else None, d_w,
                 g.sum(axis=-2) if b.requires_grad else None)
 
     return _record_op(out, (x, w, b), backward)
@@ -414,8 +461,8 @@ def transpose(t, axes=(1, 0)) -> Tensor:
     t = _lift(t)
     if sorted(axes) != list(range(t.ndim)):
         raise ShapeError(f"transpose axes {axes} do not permute the axes of shape {t.shape}")
-    inverse = np.argsort(axes)
-    return _record_op(t.data.transpose(axes), (t,), lambda g: (g.transpose(inverse),))
+    return _record_op(t.data.transpose(axes), (t,),
+                      lambda g: (g.transpose([list(axes).index(i) for i in range(g.ndim)]),))
 
 
 def reshape(t, shape) -> Tensor:
@@ -680,9 +727,12 @@ def backward(loss: Tensor) -> None:
     Afterwards every leaf of the tape (a requires_grad tensor that an entry
     reads but that this record did not produce, such as a parameter) has
     `.grad` set; leaves the loss does not reach get an all-zero gradient.
-    Op outputs get no `.grad`: each entry, and the adjoint of its output, is
-    freed as soon as the entry is replayed. The record is spent: a second
-    backward, or a further op recorded into it, raises ContractError.
+    A leaf whose one adjoint is an `OuterProduct` keeps it as its `adjoint`
+    unformed; a second adjoint of the same tensor, or an op reading it,
+    forms it first. Op outputs get no `.grad`: each entry, and the adjoint
+    of its output, is freed as soon as the entry is replayed. The record is
+    spent: a second backward, or a further op recorded into it, raises
+    ContractError.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ContractError("backward needs a scalar loss tensor")
@@ -700,14 +750,23 @@ def backward(loss: Tensor) -> None:
         g_out = acc.pop(id(entry.out), None)
         if g_out is None:
             continue
-        for t, g in zip(entry.inputs, entry.backward(g_out)):
+        for t, g in zip(entry.inputs, entry.backward(_dense(g_out))):
             if g is None or not t.requires_grad:
                 continue
             prev = acc.get(id(t))
-            acc[id(t)] = np.asarray(g, dtype=np.float64) if prev is None else prev + g
+            if prev is not None:
+                acc[id(t)] = _dense(prev) + _dense(g)
+            elif isinstance(g, OuterProduct):
+                acc[id(t)] = g
+            else:
+                acc[id(t)] = np.asarray(g, dtype=np.float64)
     for key, t in leaves.items():
         g = acc.get(key)
-        t.grad = np.zeros_like(t.data) if g is None else np.asarray(g).reshape(t.data.shape)
+        if g is None:
+            g = np.zeros_like(t.data)
+        elif not isinstance(g, OuterProduct):
+            g = np.asarray(g).reshape(t.data.shape)
+        t.adjoint = g
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-4) -> float:
@@ -770,7 +829,13 @@ def pinv(x, rcond: float = 1e-6) -> Tensor:
     return Tensor(out)
 
 
-ADAM_BLOCK = 16384  # elements per Adam update block; two block-sized buffers stay in cache
+# Elements per Adam update block. With DISENTS_THREADS=2 the two row pieces
+# of a large parameter hand the GIL to each other at every ufunc call, 14 per
+# block, so fewer, larger blocks run faster: on 2 vCPUs with one OpenBLAS
+# thread, blocks of 65536 rather than 16384 elements took the update of the
+# 96->96 gate's [9216, 256] `sig_w1` from 18.3 to 13.5-14.0 ms on two threads,
+# and left it at 21-25 ms on one.
+ADAM_BLOCK = 65536
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -802,24 +867,37 @@ class AdamState:
         return state
 
 
-def _adam_blocks(*arrays: Array):
-    """Matching views of the arrays in blocks of at most ADAM_BLOCK elements:
-    runs of leading-axis rows, and where one such row is longer than a block,
-    the blocks of each row in turn (a stack is blocked matrix by matrix)."""
-    if arrays[0].ndim == 0:
-        yield tuple(a[np.newaxis] for a in arrays)
+def _adam_blocks(shape: tuple[int, ...]):
+    """Index expressions that cover an array of `shape` in blocks of at most
+    ADAM_BLOCK elements: runs of leading-axis rows, as few as fit, cut
+    evenly (so where a block holds three rows or more, two rows or more are
+    never cut into a one-row block), and where one row is longer than a
+    block, the blocks of each row in turn (a stack is blocked matrix by
+    matrix)."""
+    if not shape:
+        yield (np.newaxis,)
         return
-    row = math.prod(arrays[0].shape[1:])
+    row = math.prod(shape[1:])
     if row > ADAM_BLOCK:
-        for i in range(arrays[0].shape[0]):
-            yield from _adam_blocks(*(a[i] for a in arrays))
+        for i in range(shape[0]):
+            yield from ((i,) + index for index in _adam_blocks(shape[1:]))
         return
-    rows_per_block = ADAM_BLOCK // max(row, 1)
-    for start in range(0, arrays[0].shape[0], rows_per_block):
-        yield tuple(a[start:start + rows_per_block] for a in arrays)
+    count = max(1, -(-shape[0] // (ADAM_BLOCK // max(row, 1))))
+    bounds = [shape[0] * i // count for i in range(count + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield (slice(lo, hi),)
 
 
-def adam_step(params: Sequence[Tensor], grads: Sequence[Array | None], state: AdamState) -> None:
+def _blocks_of_two_rows(shape: tuple[int, int]) -> bool:
+    """Whether `adam_step` updates an [n, p] parameter in row blocks of two
+    rows or more, or in one block: a block holds three rows or more, and
+    `by_rows` gives each piece two rows or more or does not split."""
+    rows, width = shape
+    return 3 * width <= ADAM_BLOCK and (rows * width < SPLIT_MIN or rows >= 2 * thread_count())
+
+
+def adam_step(params: Sequence[Tensor], grads: Sequence[Array | OuterProduct | None],
+              state: AdamState) -> None:
     """One bias-corrected Adam update, in place on the parameter data.
 
     A parameter of at least SPLIT_MIN elements is cut into row pieces over
@@ -830,7 +908,11 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[Array | None], state: Ad
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
     p -= lr*(m/c1) / (sqrt(v/c2) + eps) in that order, so the result equals
     the whole-array update bit for bit, at any thread count, without its
-    full-size temporaries.
+    full-size temporaries. An `OuterProduct` gradient is formed a block at a
+    time, its rows x.T[rows] @ g into the scratch pair, when every block has
+    two rows or more (`_blocks_of_two_rows`): such row blocks gave the whole
+    product's bits on OpenBLAS, and a one-row block, which goes down its
+    gemv path, does not. Otherwise it is formed whole first.
     """
     if len(params) != len(state.m) or len(params) != len(grads):
         raise ContractError(
@@ -842,7 +924,10 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[Array | None], state: Ad
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g is None:
             raise ContractError("adam_step received a missing gradient")
-        g = np.asarray(g, dtype=np.float64)
+        if not isinstance(g, OuterProduct):
+            g = np.asarray(g, dtype=np.float64)
+        elif not _blocks_of_two_rows(g.shape):
+            g = g.array()
         if g.shape != p.data.shape or m.shape != p.data.shape:
             raise ShapeError(
                 f"adam_step shape mismatch: param {p.data.shape}, grad {g.shape}, moment {m.shape}"
@@ -853,9 +938,17 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[Array | None], state: Ad
                 scratch = state.scratch.pop()
             except IndexError:  # every pair is held by a piece running beside this one
                 scratch = _scratch_pair()
+            arrays = p.data[rows], m[rows], v[rows]
+            dense = None if isinstance(g, OuterProduct) else g[rows]
             try:
-                for pb, gb, mb, vb in _adam_blocks(p.data[rows], g[rows], m[rows], v[rows]):
-                    t1, t2 = (buf[:gb.size].reshape(gb.shape) for buf in scratch)
+                for index in _adam_blocks(arrays[0].shape):
+                    pb, mb, vb = (a[index] for a in arrays)
+                    t1, t2 = (buf[:pb.size].reshape(pb.shape) for buf in scratch)
+                    if dense is None:  # in t2, which is free until v is updated
+                        lo = index[0].start + (0 if rows is ... else rows.start)
+                        gb = np.matmul(g.x.T[lo:lo + pb.shape[0]], g.g, out=t2)
+                    else:
+                        gb = dense[index]
                     mb *= ADAM_BETA1
                     mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=t1)
                     vb *= ADAM_BETA2

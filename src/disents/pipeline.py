@@ -115,10 +115,14 @@ class DisenTSModel:
     With one expert there is nothing to route or tell apart: the model builds
     no gate, and training skips the signatures, the contrast term and the
     registry. That single stationarization-wrapped backbone shared by all
-    channels is the unified baseline disentangled routing has to beat."""
+    channels is the unified baseline disentangled routing has to beat.
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
-        rng = init_rng(seed)
+    The arrays start as draws from `init_rng(seed)`, or, given `arrays` (by
+    `arrays()` name), as copies of those, with no draws."""
+
+    def __init__(self, config: ModelConfig, seed: int = 0,
+                 arrays: dict[str, np.ndarray] | None = None):
+        rng = init_rng(seed) if arrays is None else None
         self.config = config
         self.seed = seed
         bb = config.backbone
@@ -132,6 +136,8 @@ class DisenTSModel:
         # Bumped by every write to the parameters; keys the eval cache.
         self._version = 0
         self._eval: tuple[int, np.ndarray, Tensor | None, list] | None = None
+        if arrays is not None:
+            self.load_arrays(arrays)
 
     @property
     def n_experts(self) -> int:
@@ -326,7 +332,7 @@ def train_step(model: DisenTSModel, x: np.ndarray, y: np.ndarray,
         backward(total)
     params = [t for _, t in model.named_parameters()]
     model._version += 1
-    adam_step(params, [p.grad for p in params], opt)
+    adam_step(params, [p.adjoint for p in params], opt)
     epsilons = []
     if signatures is not None:
         epsilons = signature_errors(fwd, signatures)

@@ -75,6 +75,19 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(model.predict(x), loaded.predict(x))
 
 
+def test_loading_draws_no_init(tmp_path, monkeypatch):
+    """`load_model` builds the model on the arrays it read, with no draw
+    from the init stream."""
+    model = trained_model(seed=3, n_experts=3)
+    save_model(model, tmp_path / "ckpt")
+
+    def no_draws(seed):
+        raise AssertionError("load_model drew an init")
+
+    monkeypatch.setattr("disents.pipeline.init_rng", no_draws)
+    assert same_model(load_model(tmp_path / "ckpt"), model)
+
+
 def test_manifest_lists_every_expert_array_by_name_and_order(tmp_path):
     """A checkpoint holds each expert stack whole, one array per parameter
     with the experts on its first axis, named and ordered as below, with

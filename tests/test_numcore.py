@@ -513,12 +513,12 @@ def test_blocked_adam_matches_whole_array_formula(shape, transposed_grad):
 
 
 def test_blocked_adam_updates_a_transposed_parameter_in_place():
-    model = DisenTSModel(ModelConfig(n_experts=2, backbone=BackboneConfig("linear", 200, 100)))
-    base = np.random.default_rng(41).normal(size=(2, 100, 200))
+    model = DisenTSModel(ModelConfig(n_experts=2, backbone=BackboneConfig("linear", 400, 200)))
+    base = np.random.default_rng(41).normal(size=(2, 200, 400))
     model.set_parameter("experts.w", Tensor(base.transpose(0, 2, 1), requires_grad=True))
     params = [t for _, t in model.named_parameters()]
     assert not params[0].data.flags.c_contiguous and params[0].size > ADAM_BLOCK
-    assert len(list(nc._adam_blocks(params[0].data))) == 4  # two row blocks per expert
+    assert len(list(nc._adam_blocks(params[0].shape))) == 4  # two row blocks per expert
     refs = [(t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for t in params]
     state = AdamState.for_params(params, lr=1e-2)
     rng = np.random.default_rng(42)
@@ -891,3 +891,88 @@ def test_linear_equals_matmul_then_add_at_any_thread_count(shapes, threads, monk
 def test_linear_rejects_mismatched_shapes(shapes):
     with pytest.raises(ShapeError, match="linear expects"):
         nc.linear(*(np.zeros(s) for s in shapes))
+
+
+def _weight_adjoints(uses, w_shape, seed):
+    """Backward of sum(op(x_i, w) * g_i) over `uses`, (op, x shape) pairs
+    run in order with w as their one parameter; returns w, the inputs and
+    the output adjoints."""
+    rng = np.random.default_rng(seed)
+    w = nc.parameter(rng.normal(size=w_shape))
+    xs = [rng.normal(size=x_shape) for _, x_shape in uses]
+    gs = [rng.normal(size=(x.shape[0], w_shape[1])) for x in xs]
+    with recording():
+        outs = [op(nc.constant(x), w) for (op, _), x in zip(uses, xs)]
+        loss = nc.sum(nc.multiply(outs[0], nc.constant(gs[0])))
+        for out, g in zip(outs[1:], gs[1:]):
+            loss = loss + nc.sum(nc.multiply(out, nc.constant(g)))
+        backward(loss)
+    return w, xs, gs
+
+
+def _linear_nb(x, w):
+    return nc.linear(x, w, np.zeros(w.shape[1]))
+
+
+def test_linear_weight_of_a_constant_matrix_input_is_x_t_times_g():
+    """The weight adjoint of a 2-D `linear` whose input takes no gradient
+    stays an `OuterProduct` of a copy of the input until read; `.grad` is
+    then x.T @ g, bit for bit, also once the caller has written its input."""
+    w, (x,), (g,) = _weight_adjoints([(_linear_nb, (4, 1152))], (1152, 256), 50)
+    assert isinstance(w.adjoint, nc.OuterProduct) and w.adjoint.shape == w.shape
+    want = x.T @ g
+    x[...] = 0.0
+    assert same_bits(w.grad, want)
+    assert w.adjoint is w.grad  # formed once, on the first read
+
+
+@pytest.mark.parametrize("uses", [
+    [(_linear_nb, (4, 300)), (_linear_nb, (3, 300))],
+    [(_linear_nb, (4, 300)), (nc.matmul, (5, 300)), (_linear_nb, (2, 300))],
+], ids=["two-outer-products", "outer-products-around-a-matmul"])
+def test_an_outer_product_meeting_another_adjoint_of_its_leaf_sums_as_before(uses):
+    """A second adjoint of the same leaf forms the outer product and sums in
+    replay order, last op first, as the whole adjoints did."""
+    w, xs, gs = _weight_adjoints(uses, (300, 20), 51)
+    want = None
+    for x, g in zip(xs[::-1], gs[::-1]):
+        want = x.T @ g if want is None else want + x.T @ g
+    assert isinstance(w.adjoint, np.ndarray) and same_bits(w.adjoint, want)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("shape", [(9216, 256), (1152, 256), (513, 256), (4609, 256)],
+                         ids=["longwin-sig_w1", "wide-sig_w1", "513-rows", "4609-rows"])
+def test_adam_forms_an_outer_product_in_row_blocks_with_the_whole_bits(shape, threads,
+                                                                       monkeypatch):
+    """`adam_step` on an `OuterProduct` of K=4 rows equals the whole-array
+    update on x.T @ g, parameter and both moments, bit for bit. 513 and 4609
+    rows would leave a one-row block or piece beside longer ones."""
+    monkeypatch.setenv("DISENTS_THREADS", threads)
+    rng = np.random.default_rng(52)
+    p = nc.parameter(rng.normal(size=shape))
+    ref_p, ref_m, ref_v = p.data.copy(), np.zeros(shape), np.zeros(shape)
+    state = AdamState.for_params([p], lr=1e-2)
+    assert nc._blocks_of_two_rows(shape)
+    for step in range(1, 3):
+        x, g = rng.normal(size=(4, shape[0])), rng.normal(size=(4, shape[1]))
+        adam_step([p], [nc.OuterProduct(x, g)], state)
+        whole_array_adam(ref_p, x.T @ g, ref_m, ref_v, step, lr=1e-2)
+    assert same_bits(p.data, ref_p)
+    assert same_bits(state.m[0], ref_m) and same_bits(state.v[0], ref_v)
+
+
+@pytest.mark.parametrize("shape, threads", [((5, 20000), "3"), ((2, 40000), "1")],
+                         ids=["a-one-row-piece", "rows-wider-than-a-third-of-a-block"])
+def test_adam_forms_an_outer_product_whole_where_a_block_would_hold_one_row(shape, threads,
+                                                                            monkeypatch):
+    monkeypatch.setenv("DISENTS_THREADS", threads)
+    rng = np.random.default_rng(53)
+    p = nc.parameter(rng.normal(size=shape))
+    ref_p, ref_m, ref_v = p.data.copy(), np.zeros(shape), np.zeros(shape)
+    state = AdamState.for_params([p], lr=1e-2)
+    assert not nc._blocks_of_two_rows(shape)
+    x, g = rng.normal(size=(4, shape[0])), rng.normal(size=(4, shape[1]))
+    adam_step([p], [nc.OuterProduct(x, g)], state)
+    whole_array_adam(ref_p, x.T @ g, ref_m, ref_v, 1, lr=1e-2)
+    assert same_bits(p.data, ref_p) and same_bits(state.v[0], ref_v)
