@@ -998,37 +998,37 @@ def test_peak_memory_of_a_decomp_predict_chunk_is_pinned(monkeypatch):
     assert _peak_mib(lambda: model.predict(x)) <= 17.25
 
 
-def test_peak_memory_of_a_train_step_is_pinned(monkeypatch):
+def _second_step():
     """A K=4 step at criterion 8's shape (`linear` 48 -> 24, 16 channels,
-    batch 32) peaked at 9.75 MiB on NumPy 2.4 from the second step on; the
-    bound adds 0.5 MiB of slack. A change that cuts the peak moves the bound
-    down."""
-    monkeypatch.setenv("DISENTS_THREADS", "1")
+    batch 32), as a call that runs it again after a first one."""
     model = DisenTSModel(ModelConfig(n_experts=4, backbone=BackboneConfig("linear", 48, 24)),
                          seed=37)
     opt = AdamState.for_params([t for _, t in model.named_parameters()], lr=1e-3)
     rng, data = train_rng(37), np.random.default_rng(37)
     x, y = data.normal(size=(32, 16, 48)), data.normal(size=(32, 16, 24))
     train_step(model, x, y, opt, rng)
-    assert _peak_mib(lambda: train_step(model, x, y, opt, rng)) <= 10.25
+    return lambda: train_step(model, x, y, opt, rng)
+
+
+def test_peak_memory_of_a_train_step_is_pinned(monkeypatch):
+    """The step of `_second_step` peaked at 9.75 MiB on NumPy 2.4 from the
+    second step on; the bound adds 0.5 MiB of slack. A change that cuts the
+    peak moves the bound down."""
+    monkeypatch.setenv("DISENTS_THREADS", "1")
+    assert _peak_mib(_second_step()) <= 10.25
 
 
 def test_memory_a_train_step_leaves_allocated_is_pinned(monkeypatch):
-    """What the step of the test above allocates and leaves held when it
+    """What the step of `_second_step` allocates and leaves held when it
     returns: the gradients on the parameters. It read 2.83 MiB on NumPy 2.4
     while `gate.sig_w1` held its whole [1152, 256] gradient, and reads 0.62
     MiB now that it holds the gradient's two factors; the bound adds 0.4 MiB
     of slack."""
     monkeypatch.setenv("DISENTS_THREADS", "1")
-    model = DisenTSModel(ModelConfig(n_experts=4, backbone=BackboneConfig("linear", 48, 24)),
-                         seed=37)
-    opt = AdamState.for_params([t for _, t in model.named_parameters()], lr=1e-3)
-    rng, data = train_rng(37), np.random.default_rng(37)
-    x, y = data.normal(size=(32, 16, 48)), data.normal(size=(32, 16, 24))
-    train_step(model, x, y, opt, rng)
+    step = _second_step()
     tracemalloc.start()
     try:
-        train_step(model, x, y, opt, rng)
+        step()
         held = tracemalloc.get_traced_memory()[0] / 2**20
     finally:
         tracemalloc.stop()
