@@ -122,7 +122,7 @@ def forecast_rows(backbone: Backbone, x: Tensor,
     [rows, L] -> [K, rows, H]. Each of the backbone's `layers`, or of
     `stack` when given (the same layers, derived earlier), is one stacked
     `linear` over a read-only broadcast of the shared rows, which must be a
-    constant."""
+    constant, each but the last with its GELU fused in (`linear_gelu`)."""
     x = x if isinstance(x, Tensor) else nc.constant(x)
     cfg = backbone.config
     if x.ndim != 2 or x.shape[1] != cfg.lookback:
@@ -130,9 +130,10 @@ def forecast_rows(backbone: Backbone, x: Tensor,
     if x.requires_grad:
         raise ContractError("backbone inputs are constants; no gradient flows into them")
     out = nc.constant(np.broadcast_to(x.data, (backbone.n_experts,) + x.shape))
-    for i, (weight, bias) in enumerate(layers(backbone) if stack is None else stack):
-        out = nc.linear(nc.gelu(out) if i else out, weight, bias)
-    return out
+    *hidden, (weight, bias) = layers(backbone) if stack is None else stack
+    for w, b in hidden:
+        out = nc.linear_gelu(out, w, b)
+    return nc.linear(out, weight, bias)
 
 
 def forecast_batch(backbone: Backbone, x: Tensor,

@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -121,8 +122,10 @@ def load_model(directory: str | Path) -> DisenTSModel:
     format 2 on, the SHA-256 of its file; anything else is rejected. The
     names, shapes, file sizes and registry flags are checked against the
     config before any array is read or allocated, so a manifest cannot make
-    the loader allocate more than its array files hold. The model is built
-    on the arrays read, without drawing an init."""
+    the loader allocate more than its array files hold. The model is then
+    built without drawing an init, and each file is read straight into its
+    array and checked against its digest before the model is returned, so
+    each array is held once."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST
     if not manifest_path.is_file():
@@ -172,24 +175,28 @@ def load_model(directory: str | Path) -> DisenTSModel:
         if expected != shape:
             raise ConfigError(f"shape mismatch for {name!r}: checkpoint {shape}, "
                               f"model {expected}")
-    # Every entry now fits the config and its file; only then are they read.
-    loaded = {}
+    # Every entry now fits the config and its file; only then is the model
+    # allocated, and each file read straight into its array.
+    model = DisenTSModel(meta.config, seed=meta.seed, draw=False)
+    targets = model.arrays()
     for entry in manifest.arrays:
         array, row = slots[entry.name]
+        target = targets[array] if row is None else targets[array][row]
         try:
-            data = np.fromfile(directory / entry.file, dtype="<f8")
+            with open(directory / entry.file, "rb") as fh:
+                read = fh.readinto(memoryview(target).cast("B"))
+                whole = read == target.nbytes and not fh.read(1)
         except OSError as exc:
             raise ConfigError(f"array {entry.name!r} cannot be read from {entry.file!r}: "
                               f"{exc}") from exc
-        if isinstance(entry, ArrayEntry) and hashlib.sha256(data).hexdigest() != entry.sha256:
+        if not whole:
+            raise ConfigError(f"array {entry.name!r} in {entry.file!r} changed size while "
+                              f"it was read")
+        if isinstance(entry, ArrayEntry) and hashlib.sha256(target).hexdigest() != entry.sha256:
             raise ConfigError(f"array {entry.name!r} in {entry.file!r} does not match its "
                               f"sha256 in the manifest")
-        data = data.reshape(entry.shape)
-        if row is None:
-            loaded[array] = data
-        else:
-            loaded.setdefault(array, np.empty(shapes[array]))[row] = data
-    model = DisenTSModel(meta.config, seed=meta.seed, arrays=loaded)
+        if sys.byteorder == "big":  # the files hold little-endian float64
+            target.byteswap(inplace=True)
     model.step_count = meta.step_count
     model.registry.initialized = meta.registry_initialized
     return model

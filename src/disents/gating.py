@@ -89,7 +89,7 @@ def embed_forecasters(signatures: np.ndarray, gate: GateParams) -> Tensor:
         raise ContractError(f"gate built for {gate.n_experts} experts, got {sig.shape[0]} signatures")
     p = gate.params
     flat = nc.constant(sig.reshape(sig.shape[0], -1))
-    hidden = nc.gelu(nc.linear(flat, p["sig_w1"], p["sig_b1"]))
+    hidden = nc.linear_gelu(flat, p["sig_w1"], p["sig_b1"])
     return nc.linear(hidden, p["sig_w2"], p["sig_b2"])
 
 
@@ -118,12 +118,15 @@ def cross_attend(rows: Tensor, h_f: Tensor, gate: GateParams,
 
     [R, d] x [K, d] -> [R, d], one row per channel of each series. Dropout
     is applied to each sublayer output before its residual add, and only
-    while training."""
+    while training. The rows and the attention context are dropped after
+    the first layer norm, so with nothing recording they are freed before
+    the FFN when the caller keeps no name for the rows, as `route` does."""
     p = gate.params
     rate = gate.config.dropout
     ctx = nc.dropout(attention_mix(rows, h_f, gate), rate, training, rng)
     attended = nc.layer_norm(rows + ctx, p["ln1_gain"], p["ln1_bias"])
-    ff = nc.linear(nc.gelu(nc.linear(attended, p["ffn_w1"], p["ffn_b1"])), p["ffn_w2"], p["ffn_b2"])
+    del rows, ctx
+    ff = nc.linear(nc.linear_gelu(attended, p["ffn_w1"], p["ffn_b1"]), p["ffn_w2"], p["ffn_b2"])
     ff = nc.dropout(ff, rate, training, rng)
     return nc.layer_norm(attended + ff, p["ln2_gain"], p["ln2_bias"])
 
@@ -140,8 +143,8 @@ def route(x: Tensor, signatures: np.ndarray, gate: GateParams,
     if x.ndim != 3 or x.shape[2] != gate.lookback:
         raise ShapeError(f"expected [batch, channels, {gate.lookback}], got shape {x.shape}")
     b, c, L = x.shape
-    queries = nc.matmul(nc.reshape(x, (b * c, L)), gate.params["w_in"])
     h_f = embed_forecasters(signatures, gate) if embedded is None else embedded
-    h = cross_attend(queries, h_f, gate, training, rng)
+    h = cross_attend(nc.matmul(nc.reshape(x, (b * c, L)), gate.params["w_in"]), h_f, gate,
+                     training, rng)
     logits = nc.matmul(h, gate.params["w_out"])
     return nc.reshape(nc.softmax(logits), (b, c, gate.n_experts))

@@ -2,12 +2,17 @@
 
 Every differentiable operation used by the forecasting model lives here:
 elementwise arithmetic, matmul of matrices or of equal stacks of them, the
-fused `linear` (product plus bias in one entry), shape ops, reductions,
-softmax, layer norm, dropout, plus the SVD pseudo-inverse (a deliberate
-gradient barrier) and the Adam update. Ops executed inside a
-`recording()` block append one entry to the active DiffRecord;
-`backward(loss)` replays that tape exactly once, in reverse execution order,
-freeing each entry as it goes, and leaves gradients on the tape's leaves
+fused `linear` (product plus bias in one entry) and `linear_gelu` (GELU of
+it, one entry too), `mix` (a weighted sum over a stack's leading axis, one
+entry), shape ops, reductions, softmax, layer norm, dropout, plus the SVD
+pseudo-inverse (a deliberate gradient barrier) and the Adam update. GELU
+evaluates SciPy's `erf` on |x / sqrt 2| and copies the sign back, which has
+erf's own bits. With nothing recording, `linear_gelu` runs GELU in place
+over its product and `gelu` forms Phi in its output, so neither keeps more
+than its output. Ops executed inside a `recording()` block append one
+entry to the active DiffRecord; `backward(loss)` replays that tape exactly
+once, in reverse execution order, freeing each entry as it goes, and leaves
+gradients on the tape's leaves
 (the tensors it reads but did not produce, such as parameters), so a step's
 activations are freed as soon as nothing else holds them. Elementwise ops,
 matmul and linear compute no adjoint for an input that takes no gradient. A
@@ -23,10 +28,10 @@ The module owns one thread pool, made on first use and sized by
 tasks over it, as `pipeline` does with the row chunks of an eval stack
 in `predict`, `evaluate` and `mean_routing`. `by_rows` splits a kernel
 over the leading axis of an array of at least SPLIT_MIN elements, one
-contiguous chunk per thread. `gelu` runs both directions that
-way, in place in preallocated buffers; a stacked `linear` and `pinv` run
-over their K matrices that way, and `adam_step` over the rows of each large
-parameter. Every element sees the same operations in the same order
+contiguous chunk per thread. `gelu` and `linear_gelu` run GELU's two
+directions that way, in preallocated buffers; a stacked `linear` and `pinv`
+run over their K matrices that way, and `adam_step` over the rows of each
+large parameter. Every element sees the same operations in the same order
 however the rows are split (a matrix of a stack is one BLAS or LAPACK call
 either way; an `OuterProduct` is formed in row blocks of two rows or more,
 which on OpenBLAS give the whole product's bits where one-row blocks do
@@ -331,13 +336,18 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _tracked(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op on `inputs` joins the active tape: one is recording and
+    an input takes a gradient."""
+    return _active_record() is not None and any(t.requires_grad for t in inputs)
+
+
 def _record_op(out_data: Array, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
-    rec = _active_record()
-    tracked = rec is not None and any(t.requires_grad for t in inputs)
+    tracked = _tracked(inputs)
     out = Tensor(out_data, requires_grad=tracked)
     if tracked:
-        rec._append(_TapeEntry(out, inputs, backward))
-        out._record = rec
+        out._record = _active_record()
+        out._record._append(_TapeEntry(out, inputs, backward))
     return out
 
 
@@ -431,18 +441,14 @@ def _matmul_into(a: Array, b: Array, bias: Array | None = None) -> Array:
     return out
 
 
-def linear(x, w, b) -> Tensor:
-    """x @ w + b: [m, n] @ [n, p] + [p], or one per matrix of a stack,
-    [K, m, n] @ [K, n, p] + [K, p]. The bias is added into the product's own
-    buffer, and a stack's product and adjoints are split over the pool by
-    matrix (`_matmul_into`); the bits are those of `matmul` then `add`."""
-    x, w, b = _lift(x), _lift(w), _lift(b)
+def _affine(x: Tensor, w: Tensor, b: Tensor) -> tuple[Array, Callable]:
+    """`linear`'s product in a fresh C-ordered buffer, and the function that
+    maps an adjoint of it to the adjoints of x, w and b."""
     if (x.ndim not in (2, 3) or w.ndim != x.ndim or b.ndim != x.ndim - 1
             or not x.shape[:-2] == w.shape[:-2] == b.shape[:-1]
             or x.shape[-1] != w.shape[-2] or b.shape[-1] != w.shape[-1]):
         raise ShapeError(f"linear expects [m, n] @ [n, p] + [p] or [K, m, n] @ [K, n, p] + [K, p], "
                          f"got {x.shape}, {w.shape} and {b.shape}")
-    out = _matmul_into(x.data, w.data, b.data)
 
     def backward(g):
         if not w.requires_grad:
@@ -454,7 +460,67 @@ def linear(x, w, b) -> Tensor:
         return (_matmul_into(g, np.swapaxes(w.data, -1, -2)) if x.requires_grad else None, d_w,
                 g.sum(axis=-2) if b.requires_grad else None)
 
+    return _matmul_into(x.data, w.data, b.data), backward
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b: [m, n] @ [n, p] + [p], or one per matrix of a stack,
+    [K, m, n] @ [K, n, p] + [K, p]. The bias is added into the product's own
+    buffer, and a stack's product and adjoints are split over the pool by
+    matrix (`_matmul_into`); the bits are those of `matmul` then `add`."""
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    out, backward = _affine(x, w, b)
     return _record_op(out, (x, w, b), backward)
+
+
+def linear_gelu(x, w, b) -> Tensor:
+    """gelu(linear(x, w, b)) as one op, with the bits and adjoints of the
+    two (the weight's `OuterProduct` included). On a tape it is one entry
+    that keeps the pre-activation and Phi. With nothing recording, GELU runs
+    in place over the product's own buffer (`_gelu_in_place`), so the
+    layer's output is its one full-size array."""
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    z, affine_backward = _affine(x, w, b)
+    if not _tracked((x, w, b)):
+        _gelu_in_place(z)
+        return Tensor(z)
+    cdf, out = np.empty_like(z), np.empty_like(z)
+    by_rows(lambda rows: _gelu_kernel(z[rows], cdf[rows], out[rows]), z)
+    return _record_op(out, (x, w, b), lambda g: affine_backward(_gelu_adjoint(z, cdf, g)))
+
+
+def mix(weights, stack) -> Tensor:
+    """The weighted sum of a stack over its leading axis: weights [..., K]
+    and stack [K, ..., H] give [..., H], sum_k weights[..., k, None] *
+    stack[k]. The products are added in k order into one zeroed buffer
+    through one scratch of the output's shape, which gives the bits of
+    `sum(multiply(w, stack), axis=0)` for w the weights moved to [K, ..., 1]:
+    NumPy sums the leading axis of a C-ordered array one slice at a time,
+    from 0.0. No [K, ..., H] product is made going forward."""
+    weights, stack = _lift(weights), _lift(stack)
+    k = weights.shape[-1] if weights.ndim else 0
+    if stack.ndim < 2 or weights.shape != stack.shape[1:-1] + (k,) or stack.shape[0] != k:
+        raise ShapeError(f"mix expects weights [..., K] and a stack [K, ..., H], "
+                         f"got {weights.shape} and {stack.shape}")
+    w, s = weights.data[..., np.newaxis], stack.data  # w[..., k, :] is [..., 1]
+    out, scratch = np.zeros(stack.shape[1:]), np.empty(stack.shape[1:])
+    for i in range(k):
+        out += np.multiply(w[..., i, :], s[i], out=scratch)
+
+    def backward(g):
+        d_w = d_s = None
+        if weights.requires_grad:
+            d_w, product = np.empty(weights.shape), np.empty(g.shape)
+            for i in range(k):  # summed down to [..., 1] as `multiply` does it
+                np.multiply(g, s[i], out=product)
+                d_w[..., i] = _unbroadcast(product, w.shape[:-2] + (1,))[..., 0]
+        if stack.requires_grad:
+            d_s = np.empty(stack.shape)
+            for i in range(k):
+                np.multiply(g, w[..., i, :], out=d_s[i])
+        return d_w, d_s
+
+    return _record_op(out, (weights, stack), backward)
 
 
 def transpose(t, axes=(1, 0)) -> Tensor:
@@ -551,44 +617,69 @@ def relu(t) -> Tensor:
     return _record_op(np.where(mask, t.data, 0.0), (t,), lambda g: (g * mask,))
 
 
+def _gelu_kernel(x: Array, cdf: Array, out: Array) -> None:
+    """out = x * Phi(x), with Phi(x) = 0.5 * (1 + erf(x / sqrt 2)) left in
+    `cdf`; `out` may be `x` or `cdf`. SciPy's erf computes a negative
+    argument as -erf(-x), so erf runs on |x / sqrt 2| and the sign is copied
+    back from x: the same bits, without erf's branch on a random sign."""
+    np.multiply(x, _INV_SQRT2, out=cdf)
+    np.abs(cdf, out=cdf)
+    erf(cdf, out=cdf)
+    np.copysign(cdf, x, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    np.multiply(x, cdf, out=out)
+
+
+def _gelu_in_place(z: Array) -> None:
+    """GELU over a C-ordered buffer, in place: each `by_rows` piece of its
+    elements in blocks of ADAM_BLOCK, through one block-sized scratch."""
+    flat = z.reshape(-1)
+
+    def piece(index):
+        part = flat[index]
+        scratch = np.empty(min(ADAM_BLOCK, part.size))
+        for lo in range(0, part.size, ADAM_BLOCK):
+            block = part[lo:lo + ADAM_BLOCK]
+            _gelu_kernel(block, scratch[:block.size], block)
+
+    by_rows(piece, flat)
+
+
+def _gelu_adjoint(x: Array, cdf: Array, g: Array) -> Array:
+    """The adjoint of GELU at x for the output adjoint g, given Phi(x) in
+    `cdf`, a row chunk at a time (`by_rows`). It runs the ops of
+    g * (cdf + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi), in their
+    order with the operands of each commutative op swapped, which gives the
+    same bits."""
+    d_x = np.empty_like(x)
+
+    def backward_rows(rows):
+        d, xr = d_x[rows], x[rows]
+        np.multiply(xr, -0.5, out=d)
+        d *= xr
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= xr
+        d += cdf[rows]
+        d *= g[rows]
+
+    by_rows(backward_rows, x)
+    return d_x
+
+
 def gelu(t) -> Tensor:
     """Exact Gaussian-error-linear unit, x * Phi(x).
 
     Both directions write into preallocated buffers, a row chunk at a time
-    (`by_rows`). The backward buffer runs the ops of g * (cdf + x * pdf),
-    pdf = exp(-0.5 * x * x) / sqrt(2 pi), in their order with the operands
-    of each commutative op swapped, which gives the same bits."""
+    (`by_rows`); with nothing recording, Phi is formed in the output's own
+    buffer and not kept."""
     t = _lift(t)
     x = t.data
-    cdf, out = np.empty_like(x), np.empty_like(x)
-
-    def forward_rows(rows):
-        c = cdf[rows]
-        np.multiply(x[rows], _INV_SQRT2, out=c)
-        erf(c, out=c)  # Phi(x) = 0.5 * (1 + erf(x / sqrt 2))
-        c += 1.0
-        c *= 0.5
-        np.multiply(x[rows], c, out=out[rows])
-
-    by_rows(forward_rows, x)
-
-    def backward(g):
-        d_x = np.empty_like(x)
-
-        def backward_rows(rows):
-            d, xr = d_x[rows], x[rows]
-            np.multiply(xr, -0.5, out=d)
-            d *= xr
-            np.exp(d, out=d)
-            d *= _INV_SQRT_2PI
-            d *= xr
-            d += cdf[rows]
-            d *= g[rows]
-
-        by_rows(backward_rows, x)
-        return (d_x,)
-
-    return _record_op(out, (t,), backward)
+    out = np.empty_like(x)
+    cdf = np.empty_like(x) if _tracked((t,)) else out
+    by_rows(lambda rows: _gelu_kernel(x[rows], cdf[rows], out[rows]), x)
+    return _record_op(out, (t,), lambda g: (_gelu_adjoint(x, cdf, g),))
 
 
 def _reduce_axes(axis, ndim) -> tuple[int, ...]:
@@ -829,12 +920,12 @@ def pinv(x, rcond: float = 1e-6) -> Tensor:
     return Tensor(out)
 
 
-# Elements per Adam update block. With DISENTS_THREADS=2 the two row pieces
-# of a large parameter hand the GIL to each other at every ufunc call, 14 per
-# block, so fewer, larger blocks run faster: on 2 vCPUs with one OpenBLAS
-# thread, blocks of 65536 rather than 16384 elements took the update of the
-# 96->96 gate's [9216, 256] `sig_w1` from 18.3 to 13.5-14.0 ms on two threads,
-# and left it at 21-25 ms on one.
+# Elements per Adam update block, and per block of an in-place GELU. With
+# DISENTS_THREADS=2 the two row pieces of a large parameter hand the GIL to
+# each other at every ufunc call, 14 per block, so fewer, larger blocks run
+# faster: on 2 vCPUs with one OpenBLAS thread, blocks of 65536 rather than
+# 16384 elements took the update of the 96->96 gate's [9216, 256] `sig_w1`
+# from 18.3 to 13.5-14.0 ms on two threads, and left it at 21-25 ms on one.
 ADAM_BLOCK = 65536
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999

@@ -117,12 +117,12 @@ class DisenTSModel:
     registry. That single stationarization-wrapped backbone shared by all
     channels is the unified baseline disentangled routing has to beat.
 
-    The arrays start as draws from `init_rng(seed)`, or, given `arrays` (by
-    `arrays()` name), as copies of those, with no draws."""
+    The arrays start as draws from `init_rng(seed)`, or, with `draw` False,
+    at zero with no draws, for a caller that fills every one in place before
+    the model is first used, as `checkpoint.load_model` does."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0,
-                 arrays: dict[str, np.ndarray] | None = None):
-        rng = init_rng(seed) if arrays is None else None
+    def __init__(self, config: ModelConfig, seed: int = 0, draw: bool = True):
+        rng = init_rng(seed) if draw else None
         self.config = config
         self.seed = seed
         bb = config.backbone
@@ -136,8 +136,6 @@ class DisenTSModel:
         # Bumped by every write to the parameters; keys the eval cache.
         self._version = 0
         self._eval: tuple[int, np.ndarray, Tensor | None, list] | None = None
-        if arrays is not None:
-            self.load_arrays(arrays)
 
     @property
     def n_experts(self) -> int:
@@ -274,9 +272,7 @@ def forward(model: DisenTSModel, x: np.ndarray, training: bool = False,
     else:
         beta = route(x_norm, model.registry.gamma, model.gate, training, rng, embedded)
     outputs = forecast_batch(model.backbone, x_norm, stack)  # [K, B, C, H]
-    b, c, k = beta.shape
-    weights = nc.reshape(nc.transpose(beta, (2, 0, 1)), (k, b, c, 1))
-    mixed = nc.sum(weights * outputs, axis=0)
+    mixed = nc.mix(beta, outputs)
     y_hat = model.stationarizer.denormalize(mixed, mu, sigma)
     return ForwardResult(y_hat=y_hat, y_hat_norm=mixed, beta=beta,
                          outputs=outputs, x_norm=x_norm, mu=mu, sigma=sigma)

@@ -102,6 +102,8 @@ def _op_cases():
     p324 = rng.normal(size=(3, 2, 4))
     b5 = rng.normal(size=5)
     b25 = rng.normal(size=(2, 5))
+    mix_weights = rng.uniform(size=(4, 2))  # [4, K] over the [K, 4, 5] stack_right
+    p45 = rng.normal(size=(4, 5))
     c = nc.constant
     return [
         ("add", lambda t: _dot(nc.add(t, c(other)), p34), a),
@@ -125,6 +127,11 @@ def _op_cases():
          lambda t: _dot(nc.linear(c(stack_left), t, c(b25)), p235), stack_right),
         ("stacked linear bias",
          lambda t: _dot(nc.linear(c(stack_left), c(stack_right), t), p235), b25),
+        ("linear_gelu input", lambda t: _dot(nc.linear_gelu(t, c(m_right), c(b5)), p35), a),
+        ("linear_gelu weight", lambda t: _dot(nc.linear_gelu(c(a), t, c(b5)), p35), m_right),
+        ("linear_gelu bias", lambda t: _dot(nc.linear_gelu(c(a), c(m_right), t), p35), b5),
+        ("mix weights", lambda t: _dot(nc.mix(t, c(stack_right)), p45), mix_weights),
+        ("mix stack", lambda t: _dot(nc.mix(c(mix_weights), t), p45), stack_right),
         ("reshape", lambda t: _dot(nc.reshape(t, (2, 6)), p26), a),
         ("concat axis1", lambda t: _dot(nc.concat([t, c(other)], axis=1), p38), a),
         ("concat axis0", lambda t: _dot(nc.concat([c(other), t], axis=0), p64), a),

@@ -282,6 +282,15 @@ OPS = {
     "linear_stack_weight": lambda t: nc.linear(rand((2, 3, 2), 110), nc.reshape(t, (2, 2, 3)),
                                                rand((2, 3), 111)),
     "linear_stack_bias": lambda t: nc.linear(rand((3, 2, 4), 112), rand((3, 4, 4), 113), t),
+    "linear_gelu_input": lambda t: nc.linear_gelu(t, rand((4, 3), 114), rand(3, 115)),
+    "linear_gelu_weight": lambda t: nc.linear_gelu(rand((5, 3), 116), nc.reshape(t, (3, 4)),
+                                                   rand(4, 117)),
+    "linear_gelu_bias": lambda t: nc.linear_gelu(rand((5, 2), 118), rand((2, 12), 119),
+                                                 nc.reshape(t, (12,))),
+    "linear_gelu_stack_input": lambda t: nc.linear_gelu(nc.reshape(t, (2, 3, 2)),
+                                                        rand((2, 2, 5), 120), rand((2, 5), 121)),
+    "mix_weights": lambda t: nc.mix(nc.reshape(t, (2, 2, 3)), rand((3, 2, 2, 5), 122)),
+    "mix_stack": lambda t: nc.mix(rand((2, 3), 123), nc.reshape(t, (3, 2, 2))),
     "reshape": lambda t: nc.reshape(t, (4, 3)),
     "concat": lambda t: nc.concat([t, nc.multiply(t, 2.0)], axis=0),
     "slice": lambda t: nc.slice_axis(t, 1, 1, 3),
@@ -716,6 +725,19 @@ def _gelu_formula(x, g):
     return x * cdf, g * (cdf + x * pdf)
 
 
+def _gelu_untaped(x):
+    """GELU's value with nothing recording, as `gelu` and as `linear_gelu`
+    of a product of x's shape; the second value goes with that product."""
+    value = nc.gelu(Tensor(x)).data
+    rng = np.random.default_rng(x.size)
+    lead = x.shape[:-2] if x.ndim > 2 else ()
+    rows = x.shape[-2] if x.ndim > 1 else 1
+    a = rng.normal(size=lead + (rows, 3))
+    w, b = rng.normal(size=lead + (3, x.shape[-1])), rng.normal(size=lead + (x.shape[-1],))
+    product = nc.linear(a, w, b).data
+    return value, product, nc.linear_gelu(a, w, b).data
+
+
 def _gelu_taped(x, g):
     """GELU's value and its adjoint for the output adjoint `g`, read off the
     tape; `x` is used as given, strides and all."""
@@ -735,8 +757,12 @@ def _gelu_taped(x, g):
     lambda rng: rng.normal(size=(1031, 67)) * 4,
     lambda rng: rng.normal(size=(67, 1031)).T * 4,
     lambda rng: rng.normal(size=(2, 600, 130))[:, ::2] * 4,
-], ids=["small", "just-below", "large", "odd-rows", "transposed", "strided-3d"])
+    lambda rng: rng.normal(size=(3, 301, 257)) * 4,
+], ids=["small", "just-below", "large", "odd-rows", "transposed", "strided-3d", "blocks"])
 def test_gelu_equals_the_whole_array_formula_at_any_thread_count(make, threads, monkeypatch):
+    """On a tape and with nothing recording, where `gelu` forms Phi in its
+    output and `linear_gelu` runs in place over its product in blocks of
+    ADAM_BLOCK ("blocks" is several blocks per thread)."""
     monkeypatch.setenv("DISENTS_THREADS", threads)
     rng = np.random.default_rng(41)
     x = make(rng)
@@ -746,6 +772,103 @@ def test_gelu_equals_the_whole_array_formula_at_any_thread_count(make, threads, 
     assert (nc._POOL is not None) == (threads != "1" and x.size >= nc.SPLIT_MIN)
     assert np.array_equal(value, want_value)
     assert np.array_equal(adjoint, want_adjoint)
+    untaped, product, fused = _gelu_untaped(x)
+    assert np.array_equal(untaped, want_value)
+    assert np.array_equal(fused, _gelu_formula(product, 1.0)[0])
+
+
+def _linear_gelu_adjoints(op, args, g):
+    """The value of `op(x, w, b)` for parameters over `args`, the tape's
+    length and the three gradients for the output adjoint `g`."""
+    params = [nc.parameter(a) for a in args]
+    with recording() as rec:
+        out = op(*params)
+        backward(nc.sum(nc.multiply(out, g)))
+    return out.data, len(rec), [p.grad for p in params]
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("shapes", [
+    ((5, 3), (3, 4), (4,)),
+    ((600, 40), (40, 257), (257,)),
+    ((3, 300, 20), (3, 20, 130), (3, 130)),
+], ids=["small", "blocks", "stack"])
+def test_linear_gelu_has_the_bits_of_gelu_of_linear(shapes, threads, monkeypatch):
+    """One tape entry with the value and adjoints of the two ops, and, with
+    an input that takes no gradient, the weight adjoint as the same
+    `OuterProduct` as `linear`'s."""
+    monkeypatch.setenv("DISENTS_THREADS", threads)
+    rng = np.random.default_rng(42)
+    args = [rng.normal(size=shape) for shape in shapes]
+    g = rng.normal(size=shapes[0][:-1] + shapes[1][-1:])
+    fused = _linear_gelu_adjoints(nc.linear_gelu, args, g)
+    two = _linear_gelu_adjoints(lambda x, w, b: nc.gelu(nc.linear(x, w, b)), args, g)
+    assert (fused[1], two[1]) == (3, 4)  # the loss's multiply and sum included
+    assert same_bits(fused[0], two[0])
+    assert all(same_bits(a, b) for a, b in zip(fused[2], two[2]))
+    if len(shapes[0]) == 2:
+        x, w, b = nc.constant(args[0]), nc.parameter(args[1]), nc.parameter(args[2])
+        with recording():
+            backward(nc.sum(nc.multiply(nc.linear_gelu(x, w, b), g)))
+        assert isinstance(w.adjoint, nc.OuterProduct) and same_bits(w.grad, two[2][1])
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 5, 7), (1, 2, 3, 4), (4, 64, 32, 24), (2, 1, 1, 1),
+                                   (3, 7, 11)])
+def test_mix_has_the_bits_of_a_multiply_and_a_sum_over_k(shape):
+    """`mix` against the formula `pipeline.forward` used before it:
+    transpose the [..., K] weights to [K, ..., 1], multiply, sum over K.
+    Some entries are -0.0, which NumPy's sum, starting from 0.0, turns into
+    0.0."""
+    rng = np.random.default_rng(sum(shape))
+    k, lead = shape[0], shape[1:-1]
+    weights, stack = rng.random(lead + (k,)), rng.normal(size=shape)
+    stack.reshape(-1)[::5] = -0.0
+    g = rng.normal(size=shape[1:])
+
+    def formula(w, s):
+        moved = nc.reshape(nc.transpose(w, (w.ndim - 1,) + tuple(range(w.ndim - 1))),
+                           (k,) + lead + (1,))
+        return nc.sum(moved * s, axis=0)
+
+    results = []
+    for op in (nc.mix, formula):
+        w, s = nc.parameter(weights), nc.parameter(stack)
+        with recording() as rec:
+            out = op(w, s)
+            backward(nc.sum(nc.multiply(out, g)))
+        results.append((out.data, w.grad, s.grad, len(rec)))
+    (value, d_w, d_s, entries), (want, want_w, want_s, _) = results
+    assert entries == 3
+    assert same_bits(value, want) and same_bits(d_w, want_w) and same_bits(d_s, want_s)
+    assert same_bits(nc.mix(weights, stack).data, want)
+
+
+def test_mix_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError, match="mix expects"):
+        nc.mix(np.ones((2, 3, 4)), np.ones((3, 2, 3, 5)))
+    with pytest.raises(ShapeError, match="mix expects"):
+        nc.mix(np.ones((2, 3, 4)), np.ones((4, 2, 4, 5)))
+    with pytest.raises(ShapeError, match="mix expects"):
+        nc.mix(np.ones(4), np.ones(4))
+
+
+def test_scipy_erf_is_odd_bit_for_bit():
+    """GELU evaluates erf on |x| and copies x's sign back, which has erf's
+    own bits only because SciPy's erf computes a negative argument as
+    -erf(-x). A SciPy whose erf breaks that fails here."""
+    rng = np.random.default_rng(43)
+    for scale in (1e-3, 1.0, 4.0, 30.0):
+        for _ in range(4):
+            x = rng.normal(size=1 << 19) * scale
+            assert same_bits(erf(-x), -erf(x)), scale
+            assert same_bits(np.copysign(erf(np.abs(x)), x), erf(x)), scale
+    points = np.array([0.0, 5e-324, 1.0, 8.0])
+    points = np.concatenate([points, np.nextafter(points, np.inf), np.nextafter(points, 0.0),
+                             [26.5, 27.0, 1e300, np.inf]])
+    points = np.concatenate([points, -points])
+    assert same_bits(erf(-points), -erf(points))
+    assert same_bits(np.copysign(erf(np.abs(points)), points), erf(points))
 
 
 def test_by_rows_covers_each_row_once_in_contiguous_chunks(monkeypatch):
