@@ -38,6 +38,12 @@ from .pipeline import (DisenTSModel, Metrics, ModelConfig, Stationarizer, TrainC
                        signature_errors, unified_baseline)
 
 
+# Each synthetic group list of RunConfig and the GroupSpec field its entries
+# fill, one entry per group; a null list takes datakit.default_two_group()'s.
+_GROUP_LISTS = {"synth_periods": "period", "synth_amplitudes": "amplitude",
+                "synth_trends": "trend", "synth_signs": "sign", "synth_harmonics": "harmonics"}
+
+
 @dataclass
 class RunConfig:
     dataset: str | None = None
@@ -79,11 +85,8 @@ class RunConfig:
     synth_harmonics: list[int] | None = None
 
     def __post_init__(self):
-        # a null list means the groups' values in datakit.default_two_group()
         groups = default_two_group()
-        for key, attr in (("synth_periods", "period"), ("synth_amplitudes", "amplitude"),
-                          ("synth_trends", "trend"), ("synth_signs", "sign"),
-                          ("synth_harmonics", "harmonics")):
+        for key, attr in _GROUP_LISTS.items():
             if getattr(self, key) is None:
                 setattr(self, key, [getattr(group, attr) for group in groups])
 
@@ -114,14 +117,7 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"k_experts must be positive, got {config.k_experts}")
     if config.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {config.seed}")
-    lists = {
-        "synth_periods": config.synth_periods,
-        "synth_amplitudes": config.synth_amplitudes,
-        "synth_trends": config.synth_trends,
-        "synth_signs": config.synth_signs,
-        "synth_harmonics": config.synth_harmonics,
-    }
-    sizes = {name: len(vals) for name, vals in lists.items()}
+    sizes = {key: len(getattr(config, key)) for key in _GROUP_LISTS}
     if len(set(sizes.values())) != 1:
         raise ConfigError(f"synthetic group lists disagree in length: {sizes}")
     # Constructing the component configs validates their own ranges early.
@@ -179,13 +175,9 @@ def _train_config(config: RunConfig) -> TrainConfig:
 
 
 def _groups(config: RunConfig) -> list[GroupSpec]:
-    return [
-        GroupSpec(period=p, amplitude=a, trend=t, sign=s, harmonics=h,
-                  phase_jitter=config.synth_phase_jitter)
-        for p, a, t, s, h in zip(config.synth_periods, config.synth_amplitudes,
-                                 config.synth_trends, config.synth_signs,
-                                 config.synth_harmonics)
-    ]
+    columns = zip(*(getattr(config, key) for key in _GROUP_LISTS))
+    return [GroupSpec(**dict(zip(_GROUP_LISTS.values(), values)),
+                      phase_jitter=config.synth_phase_jitter) for values in columns]
 
 
 def _load_dataset(config: RunConfig) -> SeriesDataset:

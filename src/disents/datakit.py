@@ -295,6 +295,9 @@ def make_windows(splits: Splits, spec: WindowSpec) -> WindowedData:
     return WindowedData(train[0], train[1], val[0], val[1], test[0], test[1])
 
 
+HARMONIC_DECAY = 0.85  # the amplitude ratio of each harmonic of a group to the one before
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     period: float
@@ -303,7 +306,6 @@ class GroupSpec:
     phase_jitter: float = 0.0
     sign: float = 1.0
     harmonics: int = 1
-    harmonic_decay: float = 0.85
 
     def __post_init__(self):
         if not self.period > 0:
@@ -318,8 +320,6 @@ class GroupSpec:
                 f"amplitude, trend and sign must be finite, got "
                 f"{self.amplitude}, {self.trend}, {self.sign}"
             )
-        if not 0.0 < self.harmonic_decay <= 1.0:
-            raise ConfigError(f"harmonic_decay must be in (0, 1], got {self.harmonic_decay}")
 
 
 def default_two_group() -> list[GroupSpec]:
@@ -352,7 +352,7 @@ def synth_generate(groups: list[GroupSpec], length: int = 4000,
 
     Each group owns one waveform: a unit-energy mix of `harmonics` sinusoids
     at multiples of its base frequency, with amplitudes decaying by
-    `harmonic_decay` per harmonic and phases drawn once per group. Channel c
+    HARMONIC_DECAY per harmonic and phases drawn once per group. Channel c
     of group g is sign_g * (a_g P_g(phi_c-shifted) + s_g t) plus
     N(0, noise^2), with the phase shift phi_c drawn once per channel. With
     harmonics=1 this is a plain jittered sinusoid, sin(2 pi t / p_g + phi_c)."""
@@ -368,7 +368,7 @@ def synth_generate(groups: list[GroupSpec], length: int = 4000,
     t = np.arange(length, dtype=np.float64)
     columns, names, labels = [], [], []
     for g, spec in enumerate(groups):
-        weights = spec.harmonic_decay ** np.arange(spec.harmonics)
+        weights = HARMONIC_DECAY ** np.arange(spec.harmonics)
         weights /= np.sqrt((weights ** 2).sum())  # unit energy, like a lone sinusoid
         # the first harmonic keeps phase 0 so harmonics=1 draws nothing extra
         group_phases = np.zeros(spec.harmonics)

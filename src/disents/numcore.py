@@ -7,12 +7,12 @@ it, one entry too), `mix` (a weighted sum over a stack's leading axis, one
 entry), shape ops, reductions, softmax, layer norm, dropout, plus the SVD
 pseudo-inverse (a deliberate gradient barrier) and the Adam update. GELU
 evaluates SciPy's `erf` on |x / sqrt 2| and copies the sign back, which has
-erf's own bits. With nothing recording, `linear_gelu` runs GELU in place
-over its product and `gelu` forms Phi in its output, so neither keeps more
-than its output. Ops executed inside a `recording()` block append one
-entry to the active DiffRecord; `backward(loss)` replays that tape exactly
-once, in reverse execution order, freeing each entry as it goes, and leaves
-gradients on the tape's leaves
+erf's own bits. `gelu` (over a copy of its input) and `linear_gelu` (over
+its product) share one body, `_gelu_of`, which with nothing recording runs
+GELU in place, so neither keeps more than its output. Ops executed inside a
+`recording()` block append one entry to the active DiffRecord;
+`backward(loss)` replays that tape exactly once, in reverse execution order,
+freeing each entry as it goes, and leaves gradients on the tape's leaves
 (the tensors it reads but did not produce, such as parameters), so a step's
 activations are freed as soon as nothing else holds them. Elementwise ops,
 matmul and linear compute no adjoint for an input that takes no gradient. A
@@ -25,20 +25,20 @@ evaluation threads that never open a recording stay independent.
 
 The module owns one thread pool, made on first use and sized by
 `thread_count()` (DISENTS_THREADS, else 1). `pool_map` spreads independent
-tasks over it, as `pipeline` does with the row chunks of an eval stack
-in `predict`, `evaluate` and `mean_routing`. `by_rows` splits a kernel
-over the leading axis of an array of at least SPLIT_MIN elements, one
-contiguous chunk per thread. `gelu` and `linear_gelu` run GELU's two
-directions that way, in preallocated buffers; a stacked `linear` and `pinv`
-run over their K matrices that way, and `adam_step` over the rows of each
-large parameter. Every element sees the same operations in the same order
-however the rows are split (a matrix of a stack is one BLAS or LAPACK call
-either way; an `OuterProduct` is formed in row blocks of two rows or more,
-which on OpenBLAS give the whole product's bits where one-row blocks do
-not), and the tasks given to `pool_map` are cut by their callers without
-reading the thread count, so results do not depend on it. Smaller arrays run
-on the calling thread without reading the environment, and a pool worker
-runs everything inline, so no worker ever waits on the pool.
+tasks over it, as `pipeline` does with the row chunks of an eval stack in
+`predict`, `evaluate` and `mean_routing`. `by_rows` splits a kernel over the
+leading axis of an array of at least SPLIT_MIN elements, one contiguous
+chunk per thread. GELU's body runs its two directions that way, in
+preallocated buffers; a stacked `linear` and `pinv` run over their K
+matrices that way, and `adam_step` over the rows of each large parameter.
+Every element sees the same operations in the same order however the rows
+are split (a matrix of a stack is one BLAS or LAPACK call either way; an
+`OuterProduct` is formed in row blocks of two rows or more, which on
+OpenBLAS give the whole product's bits where one-row blocks do not), and the
+tasks given to `pool_map` are cut by their callers without reading the
+thread count, so results do not depend on it. Smaller arrays run on the
+calling thread without reading the environment, and a pool worker runs
+everything inline, so no worker ever waits on the pool.
 """
 
 from __future__ import annotations
@@ -475,18 +475,12 @@ def linear(x, w, b) -> Tensor:
 
 def linear_gelu(x, w, b) -> Tensor:
     """gelu(linear(x, w, b)) as one op, with the bits and adjoints of the
-    two (the weight's `OuterProduct` included). On a tape it is one entry
-    that keeps the pre-activation and Phi. With nothing recording, GELU runs
-    in place over the product's own buffer (`_gelu_in_place`), so the
-    layer's output is its one full-size array."""
+    two (the weight's `OuterProduct` included): GELU's one body (`_gelu_of`)
+    over the product's own buffer, so with nothing recording the layer's
+    output is its one full-size array."""
     x, w, b = _lift(x), _lift(w), _lift(b)
     z, affine_backward = _affine(x, w, b)
-    if not _tracked((x, w, b)):
-        _gelu_in_place(z)
-        return Tensor(z)
-    cdf, out = np.empty_like(z), np.empty_like(z)
-    by_rows(lambda rows: _gelu_kernel(z[rows], cdf[rows], out[rows]), z)
-    return _record_op(out, (x, w, b), lambda g: affine_backward(_gelu_adjoint(z, cdf, g)))
+    return _gelu_of(z, (x, w, b), affine_backward)
 
 
 def mix(weights, stack) -> Tensor:
@@ -619,7 +613,8 @@ def relu(t) -> Tensor:
 
 def _gelu_kernel(x: Array, cdf: Array, out: Array) -> None:
     """out = x * Phi(x), with Phi(x) = 0.5 * (1 + erf(x / sqrt 2)) left in
-    `cdf`; `out` may be `x` or `cdf`. SciPy's erf computes a negative
+    `cdf`: into fresh buffers on a tape (`_gelu_of`), and with `out` being
+    `x` in place (`_gelu_in_place`). SciPy's erf computes a negative
     argument as -erf(-x), so erf runs on |x / sqrt 2| and the sign is copied
     back from x: the same bits, without erf's branch on a random sign."""
     np.multiply(x, _INV_SQRT2, out=cdf)
@@ -632,8 +627,9 @@ def _gelu_kernel(x: Array, cdf: Array, out: Array) -> None:
 
 
 def _gelu_in_place(z: Array) -> None:
-    """GELU over a C-ordered buffer, in place: each `by_rows` piece of its
-    elements in blocks of ADAM_BLOCK, through one block-sized scratch."""
+    """GELU over a C-ordered buffer, in place through its flat view: each
+    `by_rows` piece of its elements in blocks of ADAM_BLOCK, through one
+    block-sized scratch."""
     flat = z.reshape(-1)
 
     def piece(index):
@@ -668,18 +664,25 @@ def _gelu_adjoint(x: Array, cdf: Array, g: Array) -> Array:
     return d_x
 
 
-def gelu(t) -> Tensor:
-    """Exact Gaussian-error-linear unit, x * Phi(x).
+def _gelu_of(z: Array, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
+    """GELU of `z`, a C-ordered buffer the caller hands over, as the output
+    of an op on `inputs`, whose adjoints `backward` maps z's adjoint to. On
+    a tape it is one entry that keeps z and Phi, both directions split by
+    rows (`by_rows`); with nothing recording it runs in place over z
+    (`_gelu_in_place`) and keeps nothing else."""
+    if not _tracked(inputs):
+        _gelu_in_place(z)
+        return Tensor(z)
+    cdf, out = np.empty_like(z), np.empty_like(z)
+    by_rows(lambda rows: _gelu_kernel(z[rows], cdf[rows], out[rows]), z)
+    return _record_op(out, inputs, lambda g: backward(_gelu_adjoint(z, cdf, g)))
 
-    Both directions write into preallocated buffers, a row chunk at a time
-    (`by_rows`); with nothing recording, Phi is formed in the output's own
-    buffer and not kept."""
+
+def gelu(t) -> Tensor:
+    """Exact Gaussian-error-linear unit, x * Phi(x): GELU's one body
+    (`_gelu_of`) over a C-ordered copy of x, which is never written."""
     t = _lift(t)
-    x = t.data
-    out = np.empty_like(x)
-    cdf = np.empty_like(x) if _tracked((t,)) else out
-    by_rows(lambda rows: _gelu_kernel(x[rows], cdf[rows], out[rows]), x)
-    return _record_op(out, (t,), lambda g: (_gelu_adjoint(x, cdf, g),))
+    return _gelu_of(np.array(t.data, order="C"), (t,), lambda d_x: (d_x,))
 
 
 def _reduce_axes(axis, ndim) -> tuple[int, ...]:
@@ -691,6 +694,14 @@ def _reduce_axes(axis, ndim) -> tuple[int, ...]:
     if len(set(axes)) != len(axes):
         raise ShapeError(f"duplicate reduction axes {axis}")
     return axes
+
+
+def _reduced_count(t: Tensor, axes: tuple[int, ...], op: str) -> int:
+    """The number of elements each output of `op` reduces over, never zero."""
+    count = math.prod(t.shape[a] for a in axes)
+    if count == 0:
+        raise ShapeError(f"{op} over empty axes of shape {t.shape}")
+    return count
 
 
 def _expand_reduced(g: Array, axes: tuple[int, ...], keepdims: bool) -> Array:
@@ -717,11 +728,7 @@ def sum(t, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001 - numpy-s
 def mean(t, axis=None, keepdims: bool = False) -> Tensor:
     t = _lift(t)
     axes = _reduce_axes(axis, t.ndim)
-    count = 1
-    for a in axes:
-        count *= t.data.shape[a]
-    if count == 0:
-        raise ShapeError(f"mean over empty axes of shape {t.shape}")
+    count = _reduced_count(t, axes, "mean")
     out = t.data.mean(axis=axes, keepdims=keepdims)
 
     def backward(g):
@@ -735,11 +742,7 @@ def variance(t, axis=None, keepdims: bool = False) -> Tensor:
     """Population variance (divides by the element count, not count - 1)."""
     t = _lift(t)
     axes = _reduce_axes(axis, t.ndim)
-    count = 1
-    for a in axes:
-        count *= t.data.shape[a]
-    if count == 0:
-        raise ShapeError(f"variance over empty axes of shape {t.shape}")
+    count = _reduced_count(t, axes, "variance")
     centered = t.data - t.data.mean(axis=axes, keepdims=True)
     out = (centered * centered).mean(axis=axes, keepdims=keepdims)
 

@@ -429,10 +429,6 @@ def test_harmonic_generator_reduces_to_plain_sinusoid():
 def test_harmonic_validation():
     with pytest.raises(ConfigError):
         GroupSpec(period=24.0, harmonics=0)
-    with pytest.raises(ConfigError):
-        GroupSpec(period=24.0, harmonic_decay=0.0)
-    with pytest.raises(ConfigError):
-        GroupSpec(period=24.0, harmonic_decay=1.5)
 
 
 def test_harmonic_pattern_keeps_unit_energy_and_period():

@@ -726,8 +726,9 @@ def _gelu_formula(x, g):
 
 
 def _gelu_untaped(x):
-    """GELU's value with nothing recording, as `gelu` and as `linear_gelu`
-    of a product of x's shape; the second value goes with that product."""
+    """GELU's value with nothing recording, where both ops run it in place
+    through `_gelu_of`: as `gelu` of x (over a copy) and as `linear_gelu` of
+    a product of x's shape; the second value goes with that product."""
     value = nc.gelu(Tensor(x)).data
     rng = np.random.default_rng(x.size)
     lead = x.shape[:-2] if x.ndim > 2 else ()
@@ -760,9 +761,9 @@ def _gelu_taped(x, g):
     lambda rng: rng.normal(size=(3, 301, 257)) * 4,
 ], ids=["small", "just-below", "large", "odd-rows", "transposed", "strided-3d", "blocks"])
 def test_gelu_equals_the_whole_array_formula_at_any_thread_count(make, threads, monkeypatch):
-    """On a tape and with nothing recording, where `gelu` forms Phi in its
-    output and `linear_gelu` runs in place over its product in blocks of
-    ADAM_BLOCK ("blocks" is several blocks per thread)."""
+    """On a tape and with nothing recording, where `gelu` and `linear_gelu`
+    run GELU in place, over a C-ordered copy of x and over the product, in
+    blocks of ADAM_BLOCK ("blocks" is several blocks per thread)."""
     monkeypatch.setenv("DISENTS_THREADS", threads)
     rng = np.random.default_rng(41)
     x = make(rng)
@@ -775,6 +776,33 @@ def test_gelu_equals_the_whole_array_formula_at_any_thread_count(make, threads, 
     untaped, product, fused = _gelu_untaped(x)
     assert np.array_equal(untaped, want_value)
     assert np.array_equal(fused, _gelu_formula(product, 1.0)[0])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.normal(size=(257, 256)),
+    lambda rng: rng.normal(size=(256, 257)).T,
+    lambda rng: rng.normal(size=(2, 600, 130))[:, ::2],
+], ids=["c-ordered", "transposed", "strided"])
+def test_gelu_never_writes_its_input(make, taped, threads, monkeypatch):
+    """`gelu` hands a copy of its input to GELU's in-place body, so the
+    input's bytes stay as they were, on a tape and with nothing recording.
+    The copy must be C-ordered, since the body writes through a flat view
+    of it: `np.array`'s default copy keeps a transposed input's layout and
+    fails the "transposed" cases here and of the formula test above, and an
+    F-ordered copy fails that test's "strided-3d" cases too."""
+    monkeypatch.setenv("DISENTS_THREADS", threads)
+    x = make(np.random.default_rng(44))
+    assert x.size > nc.SPLIT_MIN
+    before = x.tobytes()
+    t = Tensor(x, requires_grad=True)
+    assert np.shares_memory(t.data, x)
+    with recording() if taped else nc.no_recording():
+        out = nc.gelu(t)
+    assert out.requires_grad == taped
+    assert x.tobytes() == before
+    assert np.array_equal(out.data, _gelu_formula(x, 1.0)[0])
 
 
 def _linear_gelu_adjoints(op, args, g):
