@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decode import Count, decode, require_integers
+from .decode import Count, decode, require_integers, to_json
 from .errors import ConfigError, ParseError
 from .pipeline import DisenTSModel, ModelConfig, array_shapes
 
@@ -91,8 +91,9 @@ def save_model(model: DisenTSModel, directory: str | Path) -> Path:
                                   hashlib.sha256(data).hexdigest()))
     meta = Meta(model.step_count, model.seed, list(model.registry.initialized), model.config)
     staged = directory / f"{MANIFEST}.tmp"
+    text = to_json(asdict(Manifest(FORMAT_VERSION, entries, meta)), indent=2, sort_keys=True)
     with open(staged, "w") as fh:
-        json.dump(asdict(Manifest(FORMAT_VERSION, entries, meta)), fh, indent=2, sort_keys=True)
+        fh.write(text)
     os.replace(staged, directory / MANIFEST)
     listed = {entry.file for entry in entries}
     for path in directory.glob("array[0-9]*.bin"):

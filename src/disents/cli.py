@@ -27,7 +27,7 @@ from .checkpoint import load_model, save_model
 from .datakit import (GroupSpec, SeriesDataset, WindowedData, WindowSpec, default_two_group,
                       labels_sidecar_path, load_csv, load_labels, make_windows, routing_purity,
                       save_csv, split_standardize, synth_generate)
-from .decode import decode
+from .decode import decode, to_json
 from .errors import ConfigError, NumericError, ParseError
 from .gating import GateConfig
 from .lwa import LwaConfig
@@ -199,8 +199,7 @@ def _output_dir(config: RunConfig) -> Path:
 
 def _write_metrics(out_dir: Path, metrics: Metrics, runtime_s: float) -> Path:
     path = out_dir / "metrics.json"
-    with open(path, "w") as fh:
-        json.dump({**asdict(metrics), "runtime_s": runtime_s}, fh, indent=2)
+    path.write_text(to_json({**asdict(metrics), "runtime_s": runtime_s}, indent=2))
     return path
 
 
@@ -270,8 +269,7 @@ def cmd_inspect(config: RunConfig, target: str) -> int:
             np.savetxt(matrix_path, model.registry.gamma[m], delimiter=",")
             entries.append({"expert": m, "epsilon": eps, "iterations": model.step_count,
                             "file": matrix_path.name})
-        with open(out_dir / "lwa_manifest.json", "w") as fh:
-            json.dump(entries, fh, indent=2)
+        (out_dir / "lwa_manifest.json").write_text(to_json(entries, indent=2))
         print(f"wrote {model.n_experts} signature matrices to {out_dir}")
         return 0
     if target == "routing":
@@ -294,8 +292,7 @@ def cmd_inspect(config: RunConfig, target: str) -> int:
         else:
             summary["note"] = f"no labels sidecar at {labels_path}, purity omitted"
             print(summary["note"])
-        with open(out_dir / "routing_summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
+        (out_dir / "routing_summary.json").write_text(to_json(summary, indent=2))
         return 0
     raise ConfigError(f"unknown inspect target {target!r}, expected 'lwa' or 'routing'")
 

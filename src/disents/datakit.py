@@ -234,7 +234,9 @@ class Splits:
 
 
 def split_standardize(dataset: SeriesDataset, spec: WindowSpec) -> Splits:
-    """Chronological split, then per-channel z-scoring with train statistics."""
+    """Chronological split, then per-channel z-scoring with train statistics.
+    A channel whose train mean or std is not finite, as when its squares
+    overflow, is a ConfigError naming it."""
     values = dataset.values
     total = values.shape[0]
     n_train = int(total * spec.fractions[0])
@@ -250,8 +252,13 @@ def split_standardize(dataset: SeriesDataset, spec: WindowSpec) -> Splits:
             raise ConfigError(
                 f"{name} split holds {piece.shape[0]} rows, fewer than lookback+horizon={need}"
             )
-    mean = pieces["train"].mean(axis=0)
-    std = np.maximum(pieces["train"].std(axis=0), STD_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        mean = pieces["train"].mean(axis=0)
+        std = np.maximum(pieces["train"].std(axis=0), STD_FLOOR)
+    for name, m, s in zip(dataset.channel_names, mean, std):
+        if not (np.isfinite(m) and np.isfinite(s)):
+            raise ConfigError(f"channel {name!r} overflows its train-split statistics "
+                              f"(mean {m}, std {s}); rescale it")
     return Splits(
         train=(pieces["train"] - mean) / std,
         val=(pieces["val"] - mean) / std,

@@ -1,4 +1,4 @@
-"""One decoder from a JSON object to a dataclass.
+"""One decoder from a JSON object to a dataclass, and one strict JSON encoder.
 
 The CLI's RunConfig and a checkpoint's whole manifest, its ModelConfig
 included, are read by the same rules, taken from the dataclass's resolved
@@ -9,17 +9,21 @@ dataclass-typed field, and each item of a list of dataclasses, is decoded
 in turn. The dataclass's own `__post_init__` then checks ranges
 and, through `require_integers`, that each count field holds an integer,
 since library callers reach it without the decoder.
+
+`to_json` is the one encoder of every JSON file a run writes, strict: a
+NaN or an infinity, which no strict parser reads, raises NumericError.
 """
 
 from __future__ import annotations
 
+import json
 import numbers
 import sys
 import types
 import typing
 from dataclasses import fields, is_dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 Count = typing.NewType("Count", int)
 
@@ -85,3 +89,13 @@ def decode(cls, raw: dict, where: str):
             value = [decode(_item(kind), v, f"{where}{f.name}[{i}].") for i, v in enumerate(value)]
         values[f.name] = value
     return cls(**values)
+
+
+def to_json(value, **options) -> str:
+    """`json.dumps(value, **options)` as strict JSON: a NaN or an infinity
+    in `value` is a NumericError. Callers form the text before they open
+    the file, so a refused value leaves no file behind."""
+    try:
+        return json.dumps(value, allow_nan=False, **options)
+    except ValueError as exc:
+        raise NumericError(f"a JSON artifact would hold a non-finite number ({exc})") from None

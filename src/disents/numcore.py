@@ -36,9 +36,14 @@ are split (a matrix of a stack is one BLAS or LAPACK call either way; an
 `OuterProduct` is formed in row blocks of two rows or more, which on
 OpenBLAS give the whole product's bits where one-row blocks do not), and the
 tasks given to `pool_map` are cut by their callers without reading the
-thread count, so results do not depend on it. Smaller arrays run on the
-calling thread without reading the environment, and a pool worker runs
-everything inline, so no worker ever waits on the pool.
+thread count, so results do not depend on it. A 2-D product runs whole:
+its row splits change OpenBLAS's bits at many output widths. Its backward
+runs the two adjoints side by side instead (`_product_adjoints`): when both
+are wanted and g and a hold at least SPLIT_MIN elements together, g @ b.T
+runs on the pool while the caller forms a.T @ g, each one whole BLAS call.
+Smaller arrays run on the calling thread without reading the environment,
+and a pool worker runs everything inline, so no worker ever waits on the
+pool.
 """
 
 from __future__ import annotations
@@ -413,10 +418,41 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
+        if a.ndim == 2:
+            return _product_adjoints(a.data, b.data, g, a.requires_grad, b.requires_grad)
         return (g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
                 np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None)
 
     return _record_op(out, (a, b), backward)
+
+
+def _product_adjoints(a: Array, b: Array, g: Array, want_a: bool,
+                      want_b: bool) -> tuple[Array | None, Array | None]:
+    """(g @ b.T, a.T @ g), the adjoints of a 2-D product a @ b whose output
+    adjoint is g, each in a C-ordered buffer made before either starts; None
+    for one not wanted. When both are wanted, g and a hold at least
+    SPLIT_MIN elements together, the caller is not a pool worker and there
+    is more than one thread, g @ b.T runs on the pool while the caller forms
+    the slower a.T @ g; else both run here, in that order. Each is one whole
+    BLAS call either way, so the bits do not depend on the thread count. A
+    failure is raised only once both have ended."""
+    d_a = np.empty((g.shape[0], b.shape[0])) if want_a else None
+    d_b = np.empty((a.shape[1], g.shape[1])) if want_b else None
+    pair = want_a and want_b and g.size + a.size >= SPLIT_MIN
+    threads = thread_count() if pair and not _on_worker() else 1
+    if threads == 1:
+        if want_a:
+            np.matmul(g, b.T, out=d_a)
+        if want_b:
+            np.matmul(a.T, g, out=d_b)
+        return d_a, d_b
+    task = _pool(threads).submit(np.matmul, g, b.T, out=d_a)
+    try:
+        np.matmul(a.T, g, out=d_b)
+    finally:
+        task.exception()  # the pool's half ends, or is cancelled, before the caller goes on
+    task.result()
+    return d_a, d_b
 
 
 def _matmul_into(a: Array, b: Array, bias: Array | None = None) -> Array:
@@ -425,8 +461,9 @@ def _matmul_into(a: Array, b: Array, bias: Array | None = None) -> Array:
     its K axis, gated on its largest operand; a 2-D product runs whole. On
     OpenBLAS, row blocks of two rows or more of x.T @ g with up to 8 inner
     rows (1-5 and 8 measured) kept the whole product's bits, but a one-row
-    block (its gemv path) does not, nor do row blocks of the gate's narrow
-    [R, 64] @ [64, K] `w_out` head."""
+    block (its gemv path) does not, nor do row splits of a 2-D product at
+    many output widths, the gate's narrow [R, 64] @ [64, K] `w_out` head
+    among them."""
     out = np.empty(a.shape[:-1] + b.shape[-1:])
 
     def matrices(s):
@@ -451,14 +488,14 @@ def _affine(x: Tensor, w: Tensor, b: Tensor) -> tuple[Array, Callable]:
                          f"got {x.shape}, {w.shape} and {b.shape}")
 
     def backward(g):
-        if not w.requires_grad:
-            d_w = None
-        elif x.ndim == 2 and not x.requires_grad:  # x is copied: it may be a view the caller writes
-            d_w = OuterProduct(np.array(x.data), g)
+        if x.ndim == 3:
+            d_w = _matmul_into(np.swapaxes(x.data, -1, -2), g) if w.requires_grad else None
+            d_x = _matmul_into(g, np.swapaxes(w.data, -1, -2)) if x.requires_grad else None
+        elif w.requires_grad and not x.requires_grad:  # x is copied: it may be a view the caller writes
+            d_x, d_w = None, OuterProduct(np.array(x.data), g)
         else:
-            d_w = _matmul_into(np.swapaxes(x.data, -1, -2), g)
-        return (_matmul_into(g, np.swapaxes(w.data, -1, -2)) if x.requires_grad else None, d_w,
-                g.sum(axis=-2) if b.requires_grad else None)
+            d_x, d_w = _product_adjoints(x.data, w.data, g, x.requires_grad, w.requires_grad)
+        return d_x, d_w, g.sum(axis=-2) if b.requires_grad else None
 
     return _matmul_into(x.data, w.data, b.data), backward
 

@@ -14,7 +14,6 @@ shuffling and dropout, so model variants with the same seed stay aligned.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -25,7 +24,7 @@ from . import backbones, gating
 from . import numcore as nc
 from .backbones import Backbone, BackboneConfig, forecast_batch, layers
 from .datakit import WindowedData
-from .decode import require_integers
+from .decode import require_integers, to_json
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .gating import GateConfig, GateParams, route
 from .lwa import EmaRegistry, LwaConfig, approximate, effective_top_k, select_top_k, signature_error
@@ -349,7 +348,8 @@ def evaluate(model, x: np.ndarray, y: np.ndarray) -> Metrics:
 
     The `_chunks` of the split run over DISENTS_THREADS threads of numcore's
     shared pool, and their error sums are reduced in chunk order, so results
-    do not depend on the thread count."""
+    do not depend on the thread count. A non-finite MSE or MAE is a
+    NumericError."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 3 or y.ndim != 3 or x.shape[0] != y.shape[0] or x.shape[1] != y.shape[1]:
@@ -369,11 +369,9 @@ def evaluate(model, x: np.ndarray, y: np.ndarray) -> Metrics:
         sq_by_channel += sq
         abs_total += ab
     per_channel = sq_by_channel / (y.shape[0] * y.shape[2])
-    return Metrics(
-        mse=float(sq_by_channel.sum() / y.size),
-        mae=float(abs_total / y.size),
-        per_channel_mse=[float(v) for v in per_channel],
-    )
+    mse, mae = float(sq_by_channel.sum() / y.size), float(abs_total / y.size)
+    _require_finite(mse=mse, mae=mae)
+    return Metrics(mse=mse, mae=mae, per_channel_mse=[float(v) for v in per_channel])
 
 
 @dataclass
@@ -432,8 +430,9 @@ def fit(model: DisenTSModel, data: WindowedData, config: TrainConfig,
         )
         result.history.append(record)
         if log_path is not None:
+            line = to_json(asdict(record)) + "\n"
             with open(log_path, "a") as fh:
-                fh.write(json.dumps(asdict(record)) + "\n")
+                fh.write(line)
         if val_mse < result.best_val_mse:
             result.best_val_mse = val_mse
             best_state = ({name: a.copy() for name, a in model.arrays().items()},
@@ -452,7 +451,7 @@ def fit(model: DisenTSModel, data: WindowedData, config: TrainConfig,
 def mean_routing(model: DisenTSModel, x: np.ndarray) -> np.ndarray:
     """Average evaluation-mode routing weights over windows, [C, K]. The
     `_chunks` of the stack run over numcore's shared pool, and their sums
-    are reduced in chunk order."""
+    are reduced in chunk order; a non-finite sum is a NumericError."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] == 0:
         raise ShapeError(f"expected a non-empty window stack, got shape {x.shape}")
@@ -460,6 +459,7 @@ def mean_routing(model: DisenTSModel, x: np.ndarray) -> np.ndarray:
     for part in nc.pool_map(lambda s: forward(model, x[s], training=False).beta.data.sum(axis=0),
                             _chunks(x)):
         totals += part
+    _require_finite(routing_sum=float(totals.sum()))
     return totals / x.shape[0]
 
 

@@ -2,6 +2,7 @@
 train/eval agreement, determinism across reruns, and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import warnings
 from dataclasses import fields
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from disents import cli
 from disents.backbones import BackboneConfig
 from disents.checkpoint import save_model
 from disents.cli import RunConfig, load_run_config, main
-from disents.datakit import WindowSpec
+from disents.datakit import SeriesDataset, WindowSpec, load_csv, save_csv
 from disents.errors import ConfigError, ParseError
 from disents.pipeline import DisenTSModel, EpochRecord, Metrics, ModelConfig, TrainConfig
 from json_values import JSON_VALUES
@@ -393,6 +395,44 @@ def test_numeric_blowup_exits_3(workspace, tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_of_overflowing_weights_exits_3(workspace, tmp_path, capsys):
+    """Expert weights scaled by 1e306, with their digest updated, overflow
+    the forecast errors: `eval` exits 3 with one line and writes no
+    metrics.json, where an infinite MSE would need a non-JSON token."""
+    checkpoint = tmp_path / "checkpoint"
+    shutil.copytree(workspace["train_out"] / "checkpoint", checkpoint)
+    manifest = read_json(checkpoint / "manifest.json")
+    entry = next(e for e in manifest["arrays"] if e["name"] == "experts.w")
+    weights = np.fromfile(checkpoint / entry["file"], dtype="<f8") * 1e306
+    weights.tofile(checkpoint / entry["file"])
+    entry["sha256"] = hashlib.sha256(weights).hexdigest()
+    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(workspace["csv"]),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: mse is non-finite") and err.count("\n") == 1, err
+    assert not (out / "metrics.json").exists()
+
+
+def test_train_on_overflowing_data_exits_2(workspace, tmp_path, capsys):
+    """Every cell of a CSV scaled by 1e305 is finite, but the train split's
+    std overflows; `train` exits 2 naming the channel, where it used to
+    standardize every value to 0 and report a test MSE of 0."""
+    dataset = load_csv(workspace["csv"])
+    csv = save_csv(SeriesDataset(dataset.values * 1e305, dataset.channel_names),
+                   tmp_path / "huge.csv")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["train", "--dataset", str(csv), "--out", str(out), *TRAIN_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: channel {dataset.channel_names[0]!r} overflows its "
+                          "train-split statistics") and err.count("\n") == 1, err
+    assert not (out / "metrics.json").exists()
+
+
 def test_module_invocation_round_trip(tmp_path):
     out = tmp_path / "sub"
     proc = subprocess.run(
@@ -491,10 +531,23 @@ SUBCOMMANDS = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _parse_strictly(path):
+    """Every JSON document in a .json file or each line of a .jsonl file,
+    refusing NaN and the infinities."""
+    text = path.read_text(encoding="utf-8")
+    for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+        json.loads(doc, parse_constant=_reject_constant)
+
+
 def test_any_run_exits_0_2_or_3_with_an_error_line(tiny_run, tmp_path_factory):
     """Any subcommand, flags that argparse accepts, any DISENTS_THREADS, and
     each path argument a valid one or one of PATH_KINDS: `main` returns 0,
-    2 or 3, says why on stderr when it fails, and raises nothing."""
+    2 or 3, says why on stderr when it fails, and raises nothing. Every
+    JSON file left under the run's directory is strict JSON."""
     drawn_kinds = set()
     codes = set()
 
@@ -534,6 +587,9 @@ def test_any_run_exits_0_2_or_3_with_an_error_line(tiny_run, tmp_path_factory):
         if code:
             assert err.getvalue().startswith(("error:", "numeric failure:")), (argv, err.getvalue())
         codes.add(code)
+        for path in root.rglob("*.json*"):
+            if path.is_file():
+                _parse_strictly(path)
 
     run()
     assert drawn_kinds == set(PATH_KINDS)

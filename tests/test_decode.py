@@ -1,6 +1,7 @@
 """The one JSON-to-config decoder: its type rules, and a guard that it can
 read every field of every config it is used for. Also the range checks of the
-config constructors, which library callers reach without the decoder."""
+config constructors, which library callers reach without the decoder, and
+the one strict JSON encoder."""
 
 import json
 import math
@@ -12,8 +13,8 @@ import pytest
 from disents.backbones import KINDS, BackboneConfig
 from disents.cli import RunConfig
 from disents.datakit import GroupSpec, WindowSpec
-from disents.decode import Count, decode
-from disents.errors import ConfigError
+from disents.decode import Count, decode, to_json
+from disents.errors import ConfigError, NumericError
 from disents.gating import GateConfig
 from disents.lwa import LwaConfig
 from disents.objectives import LossConfig
@@ -199,3 +200,12 @@ def test_count_fields_take_numpy_integers():
     GroupSpec(24.0, harmonics=n(2))
     with pytest.raises(ConfigError, match="heads must be an integer, got True"):
         GateConfig(embed_dim=8, heads=True)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_to_json_refuses_what_strict_json_cannot_hold(bad):
+    value = {"mse": 0.5, "per_channel_mse": [0.25, bad]}
+    with pytest.raises(NumericError, match="non-finite"):
+        to_json(value, indent=2)
+    value["per_channel_mse"][1] = 1e308
+    assert to_json(value, indent=2) == json.dumps(value, indent=2)

@@ -1015,20 +1015,81 @@ def _matmul_then_add(x, w, b):
 @pytest.mark.parametrize("shapes", [
     ((3, 1000, 24), (3, 24, 30), (3, 30)),  # K=3 split over 2 threads as 1 + 2 matrices
     ((2, 7, 5), (2, 5, 4), (2, 4)),  # below SPLIT_MIN: inline
-    ((1000, 24), (24, 70), (70,)),  # 2-D: never split
+    ((1000, 24), (24, 70), (70,)),  # 2-D: its two adjoints side by side
 ], ids=["stack-split", "stack-small", "matrix"])
 def test_linear_equals_matmul_then_add_at_any_thread_count(shapes, threads, monkeypatch):
     """The fused op's value and its three adjoints are those of `matmul`
-    then `add`, bit for bit, whether or not its stack is split over the pool."""
+    then `add`, bit for bit, whether or not its stack is split over the pool
+    or its 2-D adjoints run side by side on it."""
     monkeypatch.setenv("DISENTS_THREADS", threads)
     rng = np.random.default_rng(43)
     x, w, b = (rng.normal(size=s) for s in shapes)
     g = rng.normal(size=shapes[0][:-1] + shapes[1][-1:])
     fused = _affine_taped(nc.linear, x, w, b, g)
-    split = len(shapes[0]) == 3 and g.size >= nc.SPLIT_MIN and threads != "1"
-    assert (nc._POOL is not None) == split
+    large = g.size >= nc.SPLIT_MIN if len(shapes[0]) == 3 else g.size + x.size >= nc.SPLIT_MIN
+    assert (nc._POOL is not None) == (large and threads != "1")
     for got, want in zip(fused, _affine_taped(_matmul_then_add, x, w, b, g), strict=True):
         assert got.tobytes() == want.tobytes()
+
+
+def _matmul_taped(a, b, g, takes_grad):
+    """The value and the adjoints of `matmul(a, b)` under the loss
+    sum(out * g), each operand a fresh leaf that takes a gradient or not."""
+    leaves = [Tensor(v.copy(), requires_grad=t) for v, t in zip((a, b), takes_grad)]
+    with recording():
+        out = nc.matmul(*leaves)
+        backward(nc.sum(nc.multiply(out, g)))
+    return [out.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("shapes, takes_grad", [
+    (((1000, 24), (24, 70)), (True, True)),  # a large pair: side by side on the pool
+    (((1000, 24), (24, 40)), (True, True)),  # g and a just under SPLIT_MIN: inline
+    (((1000, 24), (24, 70)), (False, True)),  # one adjoint: inline
+    (((1000, 24), (24, 70)), (True, False)),
+], ids=["pair", "pair-small", "b-only", "a-only"])
+def test_matmul_adjoints_are_the_whole_products_at_any_thread_count(shapes, takes_grad, threads,
+                                                                    monkeypatch):
+    """A 2-D `matmul`'s adjoints are g @ b.T and a.T @ g, bit for bit, each
+    one whole product; only a pair that needs both and holds SPLIT_MIN
+    elements in g and a together runs on the pool."""
+    monkeypatch.setenv("DISENTS_THREADS", threads)
+    rng = np.random.default_rng(44)
+    a, b = (rng.normal(size=s) for s in shapes)
+    g = rng.normal(size=(a.shape[0], b.shape[1]))
+    out, d_a, d_b = _matmul_taped(a, b, g, takes_grad)
+    large = g.size + a.size >= nc.SPLIT_MIN
+    assert large == (shapes[1][1] == 70)
+    assert (nc._POOL is not None) == (large and all(takes_grad) and threads != "1")
+    assert same_bits(out, a @ b)
+    assert same_bits(d_a, g @ b.T) if takes_grad[0] else d_a is None
+    assert same_bits(d_b, a.T @ g) if takes_grad[1] else d_b is None
+
+
+@pytest.mark.parametrize("fails", ["pool", "caller"])
+def test_a_failing_adjoint_is_raised_after_both_halves_have_ended(fails, monkeypatch):
+    """The pool runs g @ b.T while the caller forms a.T @ g; whichever half
+    fails, the failure reaches the caller only once the other half has run
+    to its end, so no task outlives the backward pass."""
+    monkeypatch.setenv("DISENTS_THREADS", "2")
+    rng = np.random.default_rng(45)
+    a, b = rng.normal(size=(1000, 24)), rng.normal(size=(24, 70))
+    g = rng.normal(size=(1000, 70))
+    real, ended = np.matmul, []
+
+    def matmul(x, y, out):
+        side = "pool" if nc._on_worker() else "caller"
+        if side == fails:
+            raise NumericError(f"the {side} half failed")
+        time.sleep(0.3)
+        real(x, y, out=out)
+        ended.append(side)
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    with pytest.raises(NumericError, match=f"the {fails} half failed"):
+        nc._product_adjoints(a, b, g, True, True)
+    assert ended == [{"pool": "caller", "caller": "pool"}[fails]]
 
 
 @pytest.mark.parametrize("shapes", [

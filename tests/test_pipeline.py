@@ -857,13 +857,16 @@ def _wide_gate_model(seed, k=4):
 
 
 def test_train_steps_are_bit_identical_at_one_two_and_three_threads(monkeypatch):
-    """A 40-window `linear` 12->6 batch splits the gate FFN; 16 windows of
-    16 channels at `decomp-linear` 96->96 also split LWA's [4, 192, 96]
-    pinv, signature_error's products and Adam over gate.sig_w1."""
+    """A 64-window `linear` 12->6 batch splits the gate FFN and runs the two
+    adjoints of each of its 2-D products, the FFN's and attention's, side by
+    side; 16 windows of 16 channels at `decomp-linear` 96->96 also split
+    LWA's [4, 192, 96] pinv, signature_error's products and Adam over
+    gate.sig_w1."""
     rng = np.random.default_rng(27)
-    x, y = rng.normal(size=(120, 8, 12)), rng.normal(size=(120, 8, 6))
+    x, y = rng.normal(size=(128, 8, 12)), rng.normal(size=(128, 8, 6))
     x_long, y_long = rng.normal(size=(32, 16, 96)), rng.normal(size=(32, 16, 96))
-    assert 40 * 8 * 4 * 64 >= nc.SPLIT_MIN  # a 40-window batch splits the gate FFN
+    assert 64 * 8 * 4 * 64 >= nc.SPLIT_MIN  # a 64-window batch splits the gate FFN
+    assert 64 * 8 * (64 + 64) >= nc.SPLIT_MIN  # and the [R, 64] @ [64, 64] attention pairs
     long_config = ModelConfig(n_experts=4, backbone=BackboneConfig("decomp-linear", 96, 96))
     assert effective_top_k(long_config.lwa, 16 * 16, 96) * 96 * 4 >= nc.SPLIT_MIN
 
@@ -880,7 +883,7 @@ def test_train_steps_are_bit_identical_at_one_two_and_three_threads(monkeypatch)
         monkeypatch.setenv("DISENTS_THREADS", threads)
         long_model = DisenTSModel(long_config, seed=27)
         assert dict(long_model.named_parameters())["gate.sig_w1"].size >= nc.SPLIT_MIN
-        return run(_wide_gate_model(27), x, y, 40) + run(long_model, x_long, y_long, 16)
+        return run(_wide_gate_model(27), x, y, 64) + run(long_model, x_long, y_long, 16)
 
     serial = outputs("1")
     assert nc._POOL is None
